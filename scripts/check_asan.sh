@@ -15,7 +15,7 @@ export ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+ $ASAN_OPTIONS}"
 "$BUILD_DIR"/tests/hg_util_tests --gtest_filter='FailPoint*:Codec*:Buffer*'
 "$BUILD_DIR"/tests/hg_net_tests
 "$BUILD_DIR"/tests/hg_core_tests \
-  --gtest_filter='FaultInjection*:DifferentialFuzz*:Recovery*:Checkpoint*:*MessagePath*:HybridGolden*:TraceSpans*:*Pipeline*:*Adaptive*:Frontier*:SkewArmor*:EpochDifferential*:Ghp*'
+  --gtest_filter='FaultInjection*:DifferentialFuzz*:Recovery*:Checkpoint*:*MessagePath*:HybridGolden*:TraceSpans*:*Pipeline*:*Adaptive*:Frontier*:SkewArmor*:EpochDifferential*:Ghp*:WireBounds*'
 # The overlay decodes delta-run blobs (including torn-compaction leftovers)
 # and the serve protocol decodes wire payloads — both are corruption-fuzzed.
 "$BUILD_DIR"/tests/hg_graph_tests --gtest_filter='VeBlockOverlay*:EdgeStream*:BoundaryInner*'

@@ -1,14 +1,14 @@
 // The MessagePath strategy interface: one implementation per execution mode
-// (push, pushM, b-pull, vpull). The mode-agnostic SuperstepDriver owns the
-// BSP loop (Phase A barrier, Phase B barrier, aggregator exchange, promotion,
-// convergence) and calls these hooks, so the shared pipeline contains no
-// per-mode branches — a path IS the mode.
+// (push, pushM, b-pull, vpull, adaptive, graphhp). The mode-agnostic
+// SuperstepDriver owns the BSP loop (Phase A barrier, Phase B barrier,
+// aggregator exchange, promotion, convergence) and calls these hooks, so the
+// shared pipeline contains no per-mode branches — a path IS the mode.
 //
 // The paper's four operators map onto the hooks as:
 //   load()    -> Consume()/AfterConsume()   (Phase A: collect messages)
 //   update()  -> UpdateProduce()            (Phase B vertex updates)
 //   pushRes() -> ProduceVblock()/FinishProduce()/AfterProduce()
-//   pullRes() -> ServePull()                (Algorithm 2, b-pull only)
+//   pullRes() -> ServePull()                (Algorithm 2, pull-serving paths)
 #pragma once
 
 #include <cstdint>
@@ -80,13 +80,6 @@ class MessagePath {
   /// per-node accumulator slots (degree-aware vertex mirroring). The driver
   /// only builds the MirrorTable when a registered path opts in.
   virtual bool mirrors_hot_vertices() const { return false; }
-  /// Whether the driver's Vblock update loop should run GraphHP-style local
-  /// sub-iterations: after the global Phase B sweep of a Vblock, keep
-  /// propagating messages along intra-Vblock edges in memory (no barrier,
-  /// no wire) until quiescence or the configured cap. Only sound for
-  /// programs whose update is a monotone idempotent fold, so paths gate
-  /// this on the program's locally-iterable trait.
-  virtual bool local_subiterations() const { return false; }
 
   /// Resets per-superstep counters and meter snapshots (producer side).
   virtual void BeginAccounting() = 0;
@@ -139,9 +132,27 @@ class MessagePath {
     (void)node;
     return Status::OK();
   }
+  /// Runs right after the driver's Phase B update of Vblock `vb` (only when
+  /// the block had active vertices), with the block's value records still in
+  /// hand in `values` and before their write-back; a path that changes a
+  /// value must set *block_dirty. It may also rewrite `respond_in_vb` (and
+  /// the node's next-superstep respond flags) before ProduceVblock sees
+  /// them. GraphHP runs its local sub-iterations here; the default does
+  /// nothing.
+  virtual Status AfterVblockUpdate(NodeState& node, uint32_t vb,
+                                   std::vector<uint8_t>& respond_in_vb,
+                                   std::vector<uint8_t>& values,
+                                   bool* block_dirty) {
+    (void)node;
+    (void)vb;
+    (void)respond_in_vb;
+    (void)values;
+    (void)block_dirty;
+    return Status::OK();
+  }
 
   /// Algorithm 2 (Pull-Respond), served from the requester's thread. Only
-  /// the b-pull path implements this.
+  /// paths with serves_pulls() (b-pull, adaptive) implement this.
   virtual Status ServePull(NodeState& node, NodeId requester, Slice payload,
                            Buffer* response) {
     (void)node;

@@ -10,11 +10,11 @@
 // rule in DecideCell (core/frontier.h):
 //
 //   - push cells ship immediately along the adjacency out-edges whose
-//     destination Vblock was decided push (reusing push's staging /
-//     threshold-flush machinery);
+//     destination Vblock was decided push (the shared PushProduce kernel
+//     with a destination-cell edge filter);
 //   - pull cells ship nothing — the next superstep's Pull-Requests reach
-//     ServePull here, which serves exactly the cells decided pull (reusing
-//     b-pull's Eblock scan / V_rr / grouped-combining machinery).
+//     ServePull here, which serves exactly the cells decided pull (the
+//     shared PullRespond kernel with a pull-cell filter).
 //
 // Consumption therefore composes both drains: the inbox merge for what was
 // pushed plus one Pull-Request per local Vblock for what was deferred.
@@ -29,7 +29,6 @@
 // columns) and decision_log() are bit-identical at any thread count.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,7 +37,6 @@
 #include "core/paths/block_path_base.h"
 #include "graph/adjacency_store.h"
 #include "graph/ve_block_store.h"
-#include "net/message_codec.h"
 #include "util/codec.h"
 #include "util/string_util.h"
 
@@ -47,9 +45,6 @@ namespace hybridgraph {
 template <typename P>
 class AdaptivePath : public BlockPathBase<P> {
  public:
-  using Value = typename P::Value;
-  using Message = typename P::Message;
-
   explicit AdaptivePath(SuperstepDriver<P>* driver)
       : BlockPathBase<P>(driver) {}
 
@@ -99,7 +94,8 @@ class AdaptivePath : public BlockPathBase<P> {
     const RangePartition& partition = this->driver_->partition();
     const uint32_t num_nodes = this->driver_->config().num_nodes;
     const uint32_t first_vb = partition.FirstVblockOf(node.id);
-    const uint32_t num_local_vb = partition.LastVblockOf(node.id) - first_vb;
+    const uint32_t last_vb = partition.LastVblockOf(node.id);
+    const uint32_t num_local_vb = last_vb - first_vb;
 
     // Request mask from the kPullAdvert exchange: producer y advertised
     // which of OUR Vblocks it decided pull for; everything else would pull
@@ -115,28 +111,31 @@ class AdaptivePath : public BlockPathBase<P> {
       mask[y].assign(num_local_vb, 0);
       // Advert wire format: fixed32 count + count × fixed32 Vblock ids
       // (always prefixed, unlike requests, so an empty advert is distinct
-      // from a legacy single-Vblock payload).
+      // from a legacy single-Vblock payload). Every id must name one of
+      // OUR Vblocks, and nothing may follow the list.
       Decoder dec(Slice(node.pull_advert_staged[y].data(),
                         node.pull_advert_staged[y].size()));
-      uint32_t count;
+      uint32_t count = 0;
       HG_RETURN_IF_ERROR(dec.GetFixed32(&count));
       for (uint32_t k = 0; k < count; ++k) {
-        uint32_t vb;
+        uint32_t vb = 0;
         HG_RETURN_IF_ERROR(dec.GetFixed32(&vb));
+        if (vb < first_vb || vb >= last_vb) {
+          return Status::Corruption(StringFormat(
+              "pull advert from node %u names Vblock %u outside [%u, %u)", y,
+              vb, first_vb, last_vb));
+        }
         mask[y][vb - first_vb] = 1;
+      }
+      if (!dec.AtEnd()) {
+        return Status::Corruption(StringFormat(
+            "pull advert from node %u has %zu trailing bytes", y,
+            dec.remaining()));
       }
       node.pull_advert_valid[y] = 0;  // one advert per production superstep
       node.pull_advert_staged[y].clear();
     }
-
-    BPullCollectPolicy policy;
-    policy.msg_size = P::kMessageSize;
-    policy.prepull_double = this->driver_->config().pre_pull && P::kCombinable;
-    policy.num_nodes = num_nodes;
-    policy.dedup_requests = this->driver_->config().request_respond_dedup;
-    policy.request_mask = &mask;
-    return CollectBPullMessages(node, partition,
-                                this->driver_->transport(), policy);
+    return this->CollectPulls(node, &mask);
   }
 
   Status WarmupNextSuperstep(uint32_t i) override {
@@ -147,27 +146,9 @@ class AdaptivePath : public BlockPathBase<P> {
     // decided pull. Observability only — nothing modeled moves.
     node.inbox_next.spill()->WarmupMerge(
         this->collect_policy_.spill_merge_buffer_bytes, node.pipeline.get());
-    const RangePartition& partition = this->driver_->partition();
-    const uint32_t first_vb = partition.FirstVblockOf(node.id);
-    const uint32_t last_vb = partition.LastVblockOf(node.id);
-    const uint32_t depth = this->driver_->config().io.prefetch_depth;
-    uint32_t scheduled = 0;
-    for (uint32_t target_vb = 0;
-         target_vb < partition.num_vblocks() && scheduled < depth;
-         ++target_vb) {
-      for (uint32_t vb = first_vb; vb < last_vb && scheduled < depth; ++vb) {
-        if (!node.vblock_res_next[vb - first_vb]) continue;
-        if (!node.ve->HasEdges(vb, target_vb)) continue;
-        const RespondingStats stats =
-            CountResponding(node, vb, node.responding_next);
-        if (Decide(node, vb, target_vb, stats.active, stats.degree) !=
-            CellDecision::kPull) {
-          continue;
-        }
-        node.ve->PrefetchEblock(vb, target_vb, node.pipeline.get());
-        ++scheduled;
-      }
-    }
+    this->PrefetchPullEblocks(node, [&](uint32_t vb, uint32_t target_vb) {
+      return IsPullCell(node, vb, target_vb, node.responding_next);
+    });
     return Status::OK();
   }
 
@@ -218,68 +199,18 @@ class AdaptivePath : public BlockPathBase<P> {
 
     // pushRes() for the push cells only: one adjacency block read per row
     // (same charge as pure push), messages filtered by destination cell.
-    const JobConfig& config = this->driver_->config();
-    if (node.pipeline && node.pipeline->enabled() &&
-        vb + 1 < partition.LastVblockOf(node.id)) {
-      node.adj->PrefetchBlock(vb + 1, node.pipeline.get());
-    }
-    std::vector<AdjacencyStore::VertexAdj> adj;
-    HG_RETURN_IF_ERROR(node.adj->ReadBlock(vb, &adj, node.pipeline.get()));
-    node.io.adj_edge_bytes += node.adj->BlockBytes(vb);
-    node.cpu_seconds +=
-        config.cpu.per_edge_s * static_cast<double>(node.adj->BlockEdges(vb));
-    node.edges_scanned += node.adj->BlockEdges(vb);
-
-    std::vector<uint8_t> msg_bytes(P::kMessageSize);
-    for (const auto& va : adj) {
-      const uint32_t in_block = va.id - r.begin;
-      if (!respond_in_vb[in_block]) continue;
-      const Value value = PodCodec<Value>::Decode(
-          block_values.data() + static_cast<size_t>(in_block) * P::kValueSize);
-      const uint32_t out_degree = node.vstore->OutDegree(va.id);
-      for (const auto& e : va.out) {
-        if (!push_cell[partition.VblockOf(e.dst)]) continue;
-        const Message m = this->driver_->program().GenMessage(
-            va.id, value, out_degree, e, this->driver_->ctx());
-        ++node.msgs_produced;
-        node.cpu_seconds += config.cpu.per_message_s;
-        const NodeId dst_node = partition.NodeOf(e.dst);
-        PodCodec<Message>::Encode(m, msg_bytes.data());
-        // Degree-aware mirroring: sends to a hot vertex fold into the local
-        // accumulator and ship once per (node, vertex) at FinishProduce.
-        if (this->MirrorFold(node, e.dst, msg_bytes.data())) continue;
-        if (config.push_sender_combining && P::kCombinable) {
-          const bool hit =
-              node.staging.TryCombine(dst_node, e.dst, msg_bytes.data());
-          node.cpu_seconds += config.cpu.per_combine_s;
-          if (hit) {
-            ++node.msgs_combined;
-            continue;
-          }
-        }
-        node.staging.Append(dst_node, e.dst, msg_bytes.data());
-        node.mem_highwater = std::max<uint64_t>(
-            node.mem_highwater,
-            node.staging.count(dst_node) * (4 + P::kMessageSize));
-        HG_RETURN_IF_ERROR(FlushStagedMessages(
-            node, this->driver_->transport(), dst_node, /*force=*/false,
-            config.sending_threshold_bytes, 4 + P::kMessageSize));
-      }
-    }
-    return Status::OK();
+    return this->PushProduce(
+        node, vb, respond_in_vb, block_values, [&](const Edge& e) {
+          return push_cell[partition.VblockOf(e.dst)] != 0;
+        });
   }
 
   Status FinishProduce(NodeState& node) override {
-    this->DrainMirrors(node);
     const RangePartition& partition = this->driver_->partition();
     const NodeScratch& sc = scratch_[node.id];
     Buffer advert;
     Encoder enc(&advert);
-    for (uint32_t y = 0; y < this->driver_->config().num_nodes; ++y) {
-      HG_RETURN_IF_ERROR(FlushStagedMessages(
-          node, this->driver_->transport(), y, /*force=*/true,
-          this->driver_->config().sending_threshold_bytes,
-          4 + P::kMessageSize));
+    return this->FlushAllStaged(node, [&](NodeId y) {
       // Pull advert: tell y which of ITS Vblocks this node decided pull
       // for, so y's next consume skips the provably-empty round trips.
       // Posted every production superstep — an empty advert (count 0) is
@@ -295,127 +226,23 @@ class AdaptivePath : public BlockPathBase<P> {
            dst < partition.LastVblockOf(y); ++dst) {
         if (sc.pull_target[dst]) enc.PutFixed32(dst);
       }
-      HG_RETURN_IF_ERROR(this->driver_->transport().Post(
-          node.id, y, RpcMethod::kPullAdvert, advert.AsSlice()));
-    }
-    return Status::OK();
+      return this->driver_->transport().Post(
+          node.id, y, RpcMethod::kPullAdvert, advert.AsSlice());
+    });
   }
 
   Status ServePull(NodeState& node, NodeId requester, Slice payload,
                    Buffer* response) override {
-    // Algorithm 2 (Pull-Respond), restricted to the cells this node decided
-    // pull at production time. Runs in the requester's thread; recomputes
-    // the decisions from the promoted respond flags (identical inputs →
-    // identical grid) and must not touch the production scratch.
-    NodeState::PullServe& serve = node.pull_serve[requester];
-    const JobConfig& config = this->driver_->config();
-    const RangePartition& partition = this->driver_->partition();
-    // Legacy payload = one target Vblock; the deduped request–respond form
-    // batches every target into one combined grouped-batch response.
-    std::vector<uint32_t> targets;
-    HG_RETURN_IF_ERROR(DecodePullRequestTargets(payload, &targets));
-
-    // pullRes() generates the previous superstep's messages and runs under
-    // that superstep's context (same GenMessage inputs as the push cells).
-    SuperstepContext gen_ctx = this->driver_->ctx();
-    gen_ctx.superstep = gen_ctx.superstep - 1;
-    gen_ctx.prev_aggregate = this->driver_->pull_gen_aggregate();
-
-    std::vector<GroupedBatchCodec::Group> groups;
-    std::vector<int64_t> group_of;  // dst (local to requester block) -> index
-
-    std::vector<uint8_t> value_bytes;
-    std::vector<uint8_t> msg_bytes(P::kMessageSize);
-    uint64_t produced = 0;
-    uint64_t combined_away = 0;
-
-    const uint32_t first_vb = partition.FirstVblockOf(node.id);
-    const uint32_t last_vb = partition.LastVblockOf(node.id);
-    std::vector<uint32_t> candidates;
-    for (const uint32_t target_vb : targets) {
-      const VertexRange dst_range = partition.VblockRange(target_vb);
-      group_of.assign(dst_range.size(), -1);
-
-      candidates.clear();
-      for (uint32_t vb = first_vb; vb < last_vb; ++vb) {
-        if (!node.vblock_res[vb - first_vb]) continue;
-        if (!node.ve->HasEdges(vb, target_vb)) continue;
-        const RespondingStats stats =
-            CountResponding(node, vb, node.responding);
-        if (Decide(node, vb, target_vb, stats.active, stats.degree) !=
-            CellDecision::kPull) {
-          continue;  // pushed at production time — serving would duplicate
-        }
-        candidates.push_back(vb);
-      }
-      for (size_t ci = 0; ci < candidates.size(); ++ci) {
-        const uint32_t vb = candidates[ci];
-        if (ci + 1 < candidates.size() && node.pipeline) {
-          node.ve->PrefetchEblock(candidates[ci + 1], target_vb,
-                                  node.pipeline.get());
-        }
-
-        VeBlockStore::ScanResult scan;
-        HG_RETURN_IF_ERROR(
-            node.ve->ScanEblock(vb, target_vb, &scan, node.pipeline.get()));
-        serve.io.eblock_edge_bytes += scan.edge_bytes;
-        serve.io.fragment_aux_bytes += scan.aux_bytes;
-        serve.cpu_seconds +=
-            config.cpu.per_edge_s *
-            static_cast<double>(node.ve->Index(vb, target_vb).num_edges);
-        serve.edges += node.ve->Index(vb, target_vb).num_edges;
-
-        for (const auto& frag : scan.fragments) {
-          if (!node.responding[node.LocalIdx(frag.src)]) continue;
-          HG_RETURN_IF_ERROR(
-              node.vstore->ReadValueRandom(frag.src, &value_bytes));
-          serve.io.vrr_bytes += node.vstore->record_size();
-          const Value value = PodCodec<Value>::Decode(value_bytes.data());
-          const uint32_t out_degree = node.vstore->OutDegree(frag.src);
-
-          for (const auto& e : frag.edges) {
-            const Message m = this->driver_->program().GenMessage(
-                frag.src, value, out_degree, e, gen_ctx);
-            ++produced;
-            serve.cpu_seconds += config.cpu.per_message_s;
-            int64_t& gi = group_of[e.dst - dst_range.begin];
-            if (gi < 0) {
-              gi = static_cast<int64_t>(groups.size());
-              groups.push_back({e.dst, {}});
-            }
-            auto& payloads = groups[static_cast<size_t>(gi)].payloads;
-            const bool combine = P::kCombinable && config.bpull_combining;
-            if (combine && !payloads.empty()) {
-              const Message prev =
-                  PodCodec<Message>::Decode(payloads[0].data());
-              PodCodec<Message>::Encode(P::Combine(prev, m),
-                                        payloads[0].data());
-              ++combined_away;
-            } else {
-              PodCodec<Message>::Encode(m, msg_bytes.data());
-              payloads.push_back(msg_bytes);
-              if (!combine && payloads.size() > 1) {
-                ++combined_away;  // concatenation shares the dst id on wire
-              }
-            }
-          }
-        }
-      }
-    }
-
-    serve.msgs_produced += produced;
-    serve.msgs_combined += combined_away;
-    serve.msgs_wire += produced - combined_away;
-    const uint64_t bs_bytes =
-        GroupedBatchCodec::EncodedSize(groups, P::kMessageSize);
-    serve.bs_highwater = std::max(serve.bs_highwater, bs_bytes);
-    serve.flushes +=
-        bs_bytes == 0
-            ? 0
-            : (bs_bytes + config.sending_threshold_bytes - 1) /
-                  std::max<uint64_t>(1, config.sending_threshold_bytes);
-    GroupedBatchCodec::Encode(groups, P::kMessageSize, response);
-    return Status::OK();
+    // Algorithm 2 restricted to the cells this node decided pull at
+    // production time: the decisions are recomputed from the promoted
+    // respond flags (identical inputs -> identical grid), never from the
+    // production scratch. Cells decided push were shipped already —
+    // serving them would duplicate.
+    return this->PullRespond(
+        node, requester, payload, response,
+        [&](uint32_t vb, uint32_t target_vb) {
+          return IsPullCell(node, vb, target_vb, node.responding);
+        });
   }
 
   SuperstepMetrics EndAccounting(EngineMode produce_mode,
@@ -484,6 +311,15 @@ class AdaptivePath : public BlockPathBase<P> {
       stats.degree += node.vstore->OutDegree(v);
     }
     return stats;
+  }
+
+  /// Whether cell g_{vb, dst_vb} is decided pull under the given respond
+  /// flags (the serve and warmup sides recompute production's grid).
+  bool IsPullCell(const NodeState& node, uint32_t vb, uint32_t dst_vb,
+                  const std::vector<uint8_t>& flags) const {
+    const RespondingStats stats = CountResponding(node, vb, flags);
+    return Decide(node, vb, dst_vb, stats.active, stats.degree) ==
+           CellDecision::kPull;
   }
 
   /// The pure per-cell decision for g_{vb, dst_vb} given the source row's

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -41,7 +40,6 @@
 #include "graph/edge_delta.h"
 #include "graph/edge_list.h"
 #include "graph/partition.h"
-#include "net/message_codec.h"
 #include "net/transport.h"
 #include "util/buffer.h"
 #include "util/codec.h"
@@ -446,9 +444,6 @@ class SuperstepDriver {
                                : (has_msgs || node.active[li]);
           if (!run_update) continue;
 
-          Value value = PodCodec<Value>::Decode(
-              values.data() + static_cast<size_t>(v - r.begin) * P::kValueSize);
-          [[maybe_unused]] const Value old_value = value;
           if (has_msgs) {
             msg_scratch.clear();
             const size_t count = node.pending.CountAt(li);
@@ -458,22 +453,10 @@ class SuperstepDriver {
                   PodCodec<Message>::Decode(data + k * kMsgSize));
             }
           }
-          const std::vector<Message>& msgs = has_msgs ? msg_scratch : no_msgs;
-          const UpdateResult res = program_.Update(v, &value, msgs, ctx_);
-          ++node.updated_vertices;
-          if constexpr (HasAggregator<P>) {
-            node.aggregate_partial +=
-                program_.AggregateContribution(v, old_value, value, ctx_);
-          }
-          node.cpu_seconds +=
-              config_.cpu.per_vertex_update_s +
-              config_.cpu.per_message_s * static_cast<double>(msgs.size());
-          if (res.changed) {
-            PodCodec<Value>::Encode(
-                value, values.data() +
-                           static_cast<size_t>(v - r.begin) * P::kValueSize);
-            block_dirty = true;
-          }
+          const UpdateResult res = UpdateVertex(
+              node, v,
+              values.data() + static_cast<size_t>(v - r.begin) * P::kValueSize,
+              has_msgs ? msg_scratch : no_msgs, &block_dirty);
           if (res.respond) {
             node.responding_next[li] = 1;
             node.vblock_res_next[vb - first_vb] = 1;
@@ -483,13 +466,10 @@ class SuperstepDriver {
           if (has_msgs) node.pending.ConsumeAt(li);
           node.active[li] = 0;
         }
-        // GraphHP-style intra-block asynchrony: with the block's values still
-        // in hand, keep iterating the Vblock's inner vertices to local
-        // convergence before the write-back and the global produce sweep.
-        if (prod.local_subiterations()) {
-          HG_RETURN_IF_ERROR(RunLocalSubIterations(node, vb, respond_in_vb,
-                                                   values, &block_dirty));
-        }
+        // With the block's values still in hand, the producing path may
+        // keep working on them (GraphHP sub-iterations) before write-back.
+        HG_RETURN_IF_ERROR(prod.AfterVblockUpdate(node, vb, respond_in_vb,
+                                                  values, &block_dirty));
         if (block_dirty) {
           HG_RETURN_IF_ERROR(
               node.vstore->WriteBlock(vb, values, IoClass::kSeqWrite));
@@ -501,167 +481,30 @@ class SuperstepDriver {
     return prod.FinishProduce(node);
   }
 
-  /// GraphHP-style local sub-iterations over one Vblock (intra-block
-  /// asynchrony, arXiv:1706.07221): after the global Phase B sweep updated
-  /// the block, keep propagating messages along intra-Vblock edges in memory
-  /// — no barrier, no wire — until quiescence or a total of
-  /// config.ghp_max_local_iters sweeps (the global Phase B counts as the
-  /// first). Only reached when the producing path opts in
-  /// (local_subiterations()), which paths gate on the program's
-  /// locally-iterable trait: the update must be a monotone idempotent fold,
-  /// so this chaotic relaxation reaches the same least fixpoint as the
-  /// synchronous schedule.
-  ///
-  /// Message routing per round: messages to *inner* destinations (every edge
-  /// inside the Vblock) are delivered and their updates run immediately —
-  /// that is the sub-iteration; messages to *boundary* destinations are
-  /// carried into inbox_next through the normal push-apply machinery
-  /// (consumed next superstep, spilling on overflow like any pushed batch,
-  /// but never metered as wire traffic). At the sweep cap every undelivered
-  /// message — inner destinations included — is carried, so nothing is lost.
-  ///
-  /// Afterwards the respond flags are rewritten: only respondents with
-  /// cross-Vblock out-edges still need the path's produce sweep (it ships
-  /// exactly those edges); everyone else's output was fully handled here.
-  /// Convergence stays exact — carried messages keep inflight > 0.
-  Status RunLocalSubIterations(NodeState& node, uint32_t vb,
-                               std::vector<uint8_t>& respond_in_vb,
-                               std::vector<uint8_t>& values,
-                               bool* block_dirty) {
-    const VertexRange r = partition_.VblockRange(vb);
-    const uint32_t first_vb = partition_.FirstVblockOf(node.id);
-
-    // Round 0 senders: the Phase B respondents, ascending id.
-    std::vector<VertexId> current;
-    for (uint32_t x = 0; x < r.size(); ++x) {
-      if (respond_in_vb[x]) current.push_back(r.begin + x);
+  /// update() for vertex `v` against its in-hand value record
+  /// `value_bytes`: runs Program::Update on `msgs`, folds the aggregator
+  /// contribution, charges the modeled CPU, and re-encodes a changed value
+  /// (setting *block_dirty). Shared by the Phase B sweep above and by paths
+  /// that update vertices inside it (GraphHP sub-iterations).
+  UpdateResult UpdateVertex(NodeState& node, VertexId v, uint8_t* value_bytes,
+                            const std::vector<Message>& msgs,
+                            bool* block_dirty) {
+    Value value = PodCodec<Value>::Decode(value_bytes);
+    [[maybe_unused]] const Value old_value = value;
+    const UpdateResult res = program_.Update(v, &value, msgs, ctx_);
+    ++node.updated_vertices;
+    if constexpr (HasAggregator<P>) {
+      node.aggregate_partial +=
+          program_.AggregateContribution(v, old_value, value, ctx_);
     }
-
-    if (!current.empty() && node.ve->InnerIndex(vb).num_edges > 0) {
-      // One metered sidecar scan serves every round of this superstep.
-      VeBlockStore::ScanResult scan;
-      HG_RETURN_IF_ERROR(node.ve->ScanInner(vb, &scan, node.pipeline.get()));
-      node.io.eblock_edge_bytes += scan.edge_bytes;
-      node.io.fragment_aux_bytes += scan.aux_bytes;
-      std::vector<int32_t> frag_of(r.size(), -1);
-      for (size_t f = 0; f < scan.fragments.size(); ++f) {
-        frag_of[scan.fragments[f].src - r.begin] = static_cast<int32_t>(f);
-      }
-
-      std::vector<std::pair<uint32_t, std::vector<uint8_t>>> carry;
-      uint64_t depth = 0;
-      while (!current.empty()) {
-        // Produce this round's intra-Vblock messages from the senders.
-        std::map<VertexId, std::vector<Message>> local;  // inner dsts, ordered
-        uint64_t produced = 0;
-        for (VertexId v : current) {
-          const int32_t f = frag_of[v - r.begin];
-          if (f < 0) continue;
-          const typename P::Value value = PodCodec<Value>::Decode(
-              values.data() + static_cast<size_t>(v - r.begin) * P::kValueSize);
-          const uint32_t out_degree = node.vstore->OutDegree(v);
-          const auto& frag = scan.fragments[static_cast<size_t>(f)];
-          node.cpu_seconds +=
-              config_.cpu.per_edge_s * static_cast<double>(frag.edges.size());
-          node.edges_scanned += frag.edges.size();
-          for (const Edge& e : frag.edges) {
-            const Message m =
-                program_.GenMessage(v, value, out_degree, e, ctx_);
-            node.cpu_seconds += config_.cpu.per_message_s;
-            ++produced;
-            if (node.ve->IsBoundary(e.dst)) {
-              std::vector<uint8_t> bytes(kMsgSize);
-              PodCodec<Message>::Encode(m, bytes.data());
-              carry.emplace_back(e.dst, std::move(bytes));
-            } else {
-              local[e.dst].push_back(m);
-            }
-          }
-        }
-        current.clear();
-        if (produced == 0) break;  // quiescent: no sender had intra out-edges
-        // Superstep 0 is announce-only (programs ignore messages in Update
-        // until superstep 1), so local delivery would drop them — carry
-        // everything, exactly like hitting the sweep cap.
-        if (superstep_ == 0 || depth + 1 >= config_.ghp_max_local_iters) {
-          // Sweep cap reached. Carry every undelivered message — the inner
-          // destinations consume theirs from the inbox next superstep.
-          for (auto& [dst, msgs] : local) {
-            for (const Message& m : msgs) {
-              std::vector<uint8_t> bytes(kMsgSize);
-              PodCodec<Message>::Encode(m, bytes.data());
-              carry.emplace_back(dst, std::move(bytes));
-            }
-          }
-          break;
-        }
-        if (local.empty()) break;  // every message crossed to the carry
-        HG_FAIL_POINT("ghp.local");
-        TraceSpan span(&trace_, "local.iter", superstep_,
-                       static_cast<int>(node.id), EngineMode::kGraphHp);
-        ++depth;
-        ++node.local_iters;
-        // Deliver to the inner destinations in ascending id order and run
-        // their updates against the in-hand block values.
-        for (auto& [dst, msgs] : local) {
-          const uint32_t li = node.LocalIdx(dst);
-          Value value = PodCodec<Value>::Decode(
-              values.data() +
-              static_cast<size_t>(dst - r.begin) * P::kValueSize);
-          [[maybe_unused]] const Value old_value = value;
-          const UpdateResult res = program_.Update(dst, &value, msgs, ctx_);
-          ++node.updated_vertices;
-          if constexpr (HasAggregator<P>) {
-            node.aggregate_partial +=
-                program_.AggregateContribution(dst, old_value, value, ctx_);
-          }
-          node.cpu_seconds +=
-              config_.cpu.per_vertex_update_s +
-              config_.cpu.per_message_s * static_cast<double>(msgs.size());
-          node.local_msg_bytes += msgs.size() * kMsgRecordSize;
-          if (res.changed) {
-            PodCodec<Value>::Encode(
-                value, values.data() +
-                           static_cast<size_t>(dst - r.begin) * P::kValueSize);
-            *block_dirty = true;
-          }
-          if (res.respond) current.push_back(dst);
-          node.active[li] = 0;
-        }
-      }
-      if (!carry.empty()) {
-        Buffer payload;
-        FlatBatchCodec::Encode(carry, kMsgSize, &payload);
-        PushApplyPolicy policy;
-        policy.msg_size = kMsgSize;
-        policy.buffer_cap = config_.msg_buffer_per_node;
-        policy.unlimited = config_.msg_buffer_per_node == UINT64_MAX ||
-                           config_.memory_resident;
-        policy.online_compute = false;
-        policy.combinable = P::kCombinable;
-        policy.combiner = P::kCombinable ? &ProgramOps<P>::CombineRaw : nullptr;
-        HG_RETURN_IF_ERROR(ApplyPushBatch(node, payload.AsSlice(), policy));
-        node.local_msg_bytes += carry.size() * kMsgRecordSize;
-      }
-      node.local_depth = std::max(node.local_depth, depth);
+    node.cpu_seconds +=
+        config_.cpu.per_vertex_update_s +
+        config_.cpu.per_message_s * static_cast<double>(msgs.size());
+    if (res.changed) {
+      PodCodec<Value>::Encode(value, value_bytes);
+      *block_dirty = true;
     }
-
-    // Respond-flag rewrite: keep only respondents whose cross-Vblock
-    // out-edges still need the global produce sweep. Inner respondents (and
-    // cross-in-only boundary respondents) had every out-edge handled above.
-    bool any_respond = false;
-    for (uint32_t x = 0; x < r.size(); ++x) {
-      if (!respond_in_vb[x]) continue;
-      const VertexId v = r.begin + x;
-      if (node.ve->CrossOutDegree(v) == 0) {
-        respond_in_vb[x] = 0;
-        node.responding_next[node.LocalIdx(v)] = 0;
-      } else {
-        any_respond = true;
-      }
-    }
-    node.vblock_res_next[vb - first_vb] = any_respond ? 1 : 0;
-    return Status::OK();
+    return res;
   }
 
   /// Collects all vertex values from the block stores (global, indexed by

@@ -1,37 +1,11 @@
-// Lightweight counters and histograms used for per-node, per-superstep
-// accounting (I/O bytes by access class, network bytes, memory high-water).
+// Metrics utilities: a bucketed histogram for latency and size samples.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace hybridgraph {
-
-/// \brief Monotonic counter.
-class Counter {
- public:
-  void Add(uint64_t delta) { value_ += delta; }
-  void Increment() { ++value_; }
-  uint64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
-
- private:
-  uint64_t value_ = 0;
-};
-
-/// \brief Tracks the maximum of a fluctuating quantity (e.g. buffer bytes).
-class HighWaterMark {
- public:
-  void Update(uint64_t v) { max_ = std::max(max_, v); }
-  uint64_t value() const { return max_; }
-  void Reset() { max_ = 0; }
-
- private:
-  uint64_t max_ = 0;
-};
 
 /// \brief Simple power-of-two bucketed histogram for latency/size samples.
 class Histogram {
@@ -75,23 +49,6 @@ class Histogram {
   uint64_t sum_ = 0;
   uint64_t min_ = 0;
   uint64_t max_ = 0;
-};
-
-/// \brief Named counter registry; cheap snapshot for reporting.
-class MetricRegistry {
- public:
-  Counter* GetCounter(const std::string& name) { return &counters_[name]; }
-  std::map<std::string, uint64_t> Snapshot() const {
-    std::map<std::string, uint64_t> out;
-    for (const auto& [k, v] : counters_) out[k] = v.value();
-    return out;
-  }
-  void ResetAll() {
-    for (auto& [k, v] : counters_) v.Reset();
-  }
-
- private:
-  std::map<std::string, Counter> counters_;
 };
 
 }  // namespace hybridgraph

@@ -234,21 +234,57 @@ TEST(MessagePathCapabilities, PathsDeclareTheirNeeds) {
   EXPECT_TRUE(bpull.hybrid_metrics());
 
   // GraphHP: push wire protocol plus the boundary/inner split, so it needs
-  // both layouts. The sub-iteration sweep is gated on the program's
-  // locally-iterable trait: off for PageRank (sum fold), on for SSSP.
+  // both layouts. The sub-iteration hook is gated on the program's
+  // locally-iterable trait: a no-op for PageRank (sum fold).
   GhpPath<PageRankProgram> ghp(&driver);
   EXPECT_EQ(ghp.mode(), EngineMode::kGraphHp);
   EXPECT_TRUE(ghp.needs_adjacency());
   EXPECT_TRUE(ghp.needs_veblocks());
-  EXPECT_FALSE(ghp.local_subiterations());
   EXPECT_FALSE(ghp.serves_pulls());
   EXPECT_TRUE(ghp.supports_aggregator());
+  NodeState node;
+  std::vector<uint8_t> respond = {1, 1, 1};
+  std::vector<uint8_t> values;
+  bool dirty = false;
+  EXPECT_TRUE(ghp.AfterVblockUpdate(node, 0, respond, values, &dirty).ok());
+  EXPECT_EQ(respond, std::vector<uint8_t>({1, 1, 1}));
+  EXPECT_FALSE(dirty);
+}
 
-  SuperstepDriver<SsspProgram> sssp_driver(
-      BaseConfig(EngineMode::kGraphHp, 1), SsspProgram{},
-      /*gas_engine=*/false);
-  GhpPath<SsspProgram> ghp_sssp(&sssp_driver);
-  EXPECT_TRUE(ghp_sssp.local_subiterations());
+TEST(MessagePathCapabilities, OnlyGraphHpSubIteratesAfterVblockUpdate) {
+  // On a chain every edge but the Vblock's last stays inside it. For SSSP
+  // the GraphHP hook runs the sub-iterations (superstep 0 carries every
+  // intra-Vblock message into the inbox) and keeps only the respondents
+  // whose out-edges cross the Vblock; the default hook leaves all flags.
+  const EdgeListGraph g = GenerateChain(64, /*seed=*/3);
+  for (const EngineMode mode : {EngineMode::kPush, EngineMode::kGraphHp}) {
+    auto rig = MakeRig(BaseConfig(mode, 1), SsspProgram{});
+    ASSERT_TRUE(rig.driver->Load(g).ok()) << EngineModeName(mode);
+    MessagePath<SsspProgram>& path =
+        rig.ghp ? static_cast<MessagePath<SsspProgram>&>(*rig.ghp)
+                : *rig.push;
+    NodeState& node = rig.driver->nodes()[0];
+    const uint32_t vb = rig.driver->partition().FirstVblockOf(0);
+    const VertexRange r = rig.driver->partition().VblockRange(vb);
+    std::vector<uint8_t> values;
+    ASSERT_TRUE(node.vstore->ReadBlock(vb, &values, IoClass::kSeqRead).ok());
+    std::vector<uint8_t> respond(r.size(), 1);
+    bool dirty = false;
+    ASSERT_TRUE(
+        path.AfterVblockUpdate(node, vb, respond, values, &dirty).ok());
+    EXPECT_FALSE(dirty);  // superstep 0 delivers nothing locally
+    if (mode == EngineMode::kPush) {
+      EXPECT_EQ(respond, std::vector<uint8_t>(r.size(), 1));
+      EXPECT_EQ(node.local_msg_bytes, 0u);
+      continue;
+    }
+    for (uint32_t x = 0; x < r.size(); ++x) {
+      EXPECT_EQ(respond[x], node.ve->CrossOutDegree(r.begin + x) > 0 ? 1 : 0)
+          << "vertex " << r.begin + x;
+    }
+    EXPECT_EQ(respond.back(), 1);  // the chain edge leaving the Vblock
+    EXPECT_GT(node.local_msg_bytes, 0u);
+  }
 }
 
 TEST(MessagePathCapabilities, ServePullOnlyOnPullPaths) {
@@ -262,6 +298,61 @@ TEST(MessagePathCapabilities, ServePullOnlyOnPullPaths) {
   Buffer response;
   const Status st = push.ServePull(node, 0, Slice(), &response);
   EXPECT_FALSE(st.ok());
+}
+
+// ------------------------------------------------- malformed wire payloads
+
+// A Pull-Request naming a Vblock outside the partition must be rejected by
+// the shared Pull-Respond kernel before it indexes anything, in both the
+// legacy single-target and the deduped batched form, for both pull servers.
+TEST(WireBounds, PullRequestTargetOutOfRangeIsCorruption) {
+  const auto g = TestGraph();
+  for (const EngineMode mode : {EngineMode::kBPull, EngineMode::kAdaptive}) {
+    auto rig = MakeRig(BaseConfig(mode, 1), SsspProgram{});
+    ASSERT_TRUE(rig.driver->Load(g).ok()) << EngineModeName(mode);
+    const uint32_t num_vb = rig.driver->partition().num_vblocks();
+    Buffer legacy;
+    Encoder(&legacy).PutFixed32(num_vb);
+    Buffer batched;
+    Encoder enc(&batched);
+    enc.PutFixed32(2);
+    enc.PutFixed32(0);
+    enc.PutFixed32(UINT32_MAX);
+    for (const Buffer* payload : {&legacy, &batched}) {
+      std::vector<uint8_t> response;
+      const Status st = rig.driver->transport().Call(
+          1, 0, RpcMethod::kPullRequest, payload->AsSlice(), &response);
+      EXPECT_EQ(st.code(), StatusCode::kCorruption)
+          << EngineModeName(mode) << ": " << st.ToString();
+    }
+  }
+}
+
+// Adaptive adverts name the receiver's Vblocks; one naming any other Vblock,
+// or followed by stray bytes, must fail the next consume as Corruption
+// instead of writing outside the request mask.
+TEST(WireBounds, PullAdvertOutOfRangeOrTrailingIsCorruption) {
+  const auto g = TestGraph();
+  for (const bool trailing : {false, true}) {
+    auto rig = MakeRig(BaseConfig(EngineMode::kAdaptive, 1), SsspProgram{});
+    ASSERT_TRUE(rig.driver->Load(g).ok());
+    ASSERT_TRUE(rig.driver->RunSuperstep().ok());
+    Buffer advert;
+    Encoder enc(&advert);
+    if (trailing) {
+      enc.PutFixed32(0);
+      enc.PutU8(7);
+    } else {
+      enc.PutFixed32(1);
+      enc.PutFixed32(rig.driver->partition().LastVblockOf(0));  // node 1's
+    }
+    ASSERT_TRUE(rig.driver->transport()
+                    .Post(1, 0, RpcMethod::kPullAdvert, advert.AsSlice())
+                    .ok());
+    const Status st = rig.driver->RunSuperstep();
+    EXPECT_EQ(st.code(), StatusCode::kCorruption)
+        << "trailing=" << trailing << ": " << st.ToString();
+  }
 }
 
 // ------------------------------------------------------------- trace spans

@@ -5,25 +5,6 @@
 namespace hybridgraph {
 namespace {
 
-TEST(Counter, AddsAndResets) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.Increment();
-  c.Add(41);
-  EXPECT_EQ(c.value(), 42u);
-  c.Reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(HighWaterMark, TracksMax) {
-  HighWaterMark h;
-  h.Update(5);
-  h.Update(3);
-  h.Update(9);
-  h.Update(1);
-  EXPECT_EQ(h.value(), 9u);
-}
-
 TEST(Histogram, BasicStats) {
   Histogram h;
   for (uint64_t v : {1, 2, 3, 4, 100}) h.Record(v);
@@ -59,18 +40,6 @@ TEST(Histogram, ZeroBucket) {
   h.Record(0);
   EXPECT_EQ(h.ValueAtQuantile(0.5), 0u);
   EXPECT_EQ(h.max(), 0u);
-}
-
-TEST(MetricRegistry, SnapshotAndReset) {
-  MetricRegistry reg;
-  reg.GetCounter("a")->Add(3);
-  reg.GetCounter("b")->Add(4);
-  reg.GetCounter("a")->Add(1);
-  auto snap = reg.Snapshot();
-  EXPECT_EQ(snap.at("a"), 4u);
-  EXPECT_EQ(snap.at("b"), 4u);
-  reg.ResetAll();
-  EXPECT_EQ(reg.Snapshot().at("a"), 0u);
 }
 
 }  // namespace
