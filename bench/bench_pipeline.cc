@@ -1,9 +1,10 @@
 // Overlapped-I/O pipeline bench: the paper's memory-limited HDD and SSD
 // shapes with device read latency emulated by a storage.read delay
 // fail-point, run with the prefetch pipeline off and on. Reports wall-clock
-// and modeled columns side by side and HARD-FAILS unless the modeled I/O
-// bytes, modeled seconds, and the hybrid mode/switch trace are bit-identical
-// between the two runs — readahead may only move wall-clock time. Emits a
+// and modeled columns side by side and HARD-FAILS unless every modeled
+// column of every superstep (ModeledColumnDiffs: I/O bytes, modeled seconds,
+// the hybrid mode/switch trace, ...) is bit-identical between the two runs —
+// readahead may only move wall-clock time. Emits a
 // machine-readable BENCH_pipeline.json (path overridable via argv[1]).
 #include <chrono>
 #include <cstdint>
@@ -13,6 +14,7 @@
 
 #include "bench_common.h"
 #include "util/failpoint.h"
+#include "util/string_util.h"
 
 using namespace hybridgraph;
 using namespace hybridgraph::bench;
@@ -38,6 +40,7 @@ struct RunResult {
   uint64_t prefetch_hits = 0;
   uint64_t prefetch_hit_bytes = 0;
   std::string mode_trace;  // "push,push*,b-pull,..." — '*' marks a switch
+  std::vector<SuperstepMetrics> supersteps;
 };
 
 struct Row {
@@ -79,7 +82,26 @@ Result<RunResult> RunOne(const EdgeListGraph& graph, const DatasetSpec& spec,
     r.mode_trace += EngineModeName(s.mode);
     if (s.switched) r.mode_trace += '*';
   }
+  r.supersteps = stats.supersteps;
   return r;
+}
+
+// The modeled columns that differ between the prefetch-off and -on runs, one
+// "superstep t: col,col" entry per differing superstep ("" when identical).
+std::string ModeledDrift(const std::vector<SuperstepMetrics>& off,
+                         const std::vector<SuperstepMetrics>& on) {
+  if (off.size() != on.size()) {
+    return StringFormat(" superstep count off=%zu on=%zu", off.size(),
+                        on.size());
+  }
+  std::string drift;
+  for (size_t t = 0; t < off.size(); ++t) {
+    const std::vector<std::string> cols = ModeledColumnDiffs(off[t], on[t]);
+    if (cols.empty()) continue;
+    drift += StringFormat("\n  superstep %zu:", t);
+    for (const std::string& c : cols) drift += " " + c;
+  }
+  return drift;
 }
 
 }  // namespace
@@ -132,21 +154,14 @@ int main(int argc, char** argv) {
       row.off = *off;
       row.on = *on;
 
-      // The contract: readahead moves wall-clock time ONLY. Any drift in the
-      // modeled columns or the switch trace is a determinism bug.
-      if (row.off.io_bytes != row.on.io_bytes ||
-          row.off.modeled_s != row.on.modeled_s ||
-          row.off.mode_trace != row.on.mode_trace) {
-        std::fprintf(stderr,
-                     "DETERMINISM VIOLATION %s %s:\n"
-                     "  io_bytes  off=%llu on=%llu\n"
-                     "  modeled_s off=%.9g on=%.9g\n"
-                     "  trace off=%s\n  trace on =%s\n",
-                     shape.name, row.workload.c_str(),
-                     (unsigned long long)row.off.io_bytes,
-                     (unsigned long long)row.on.io_bytes, row.off.modeled_s,
-                     row.on.modeled_s, row.off.mode_trace.c_str(),
-                     row.on.mode_trace.c_str());
+      // The contract: readahead moves wall-clock time ONLY. Any drift in a
+      // modeled column (which includes the mode/switch trace) is a
+      // determinism bug.
+      const std::string drift =
+          ModeledDrift(row.off.supersteps, row.on.supersteps);
+      if (!drift.empty()) {
+        std::fprintf(stderr, "DETERMINISM VIOLATION %s %s:%s\n", shape.name,
+                     row.workload.c_str(), drift.c_str());
         determinism_ok = false;
       }
       std::printf("%-4s %-16s %11.3f %11.3f %7.2fx %12llu %12.4f %10llu %8.2f\n",
@@ -186,10 +201,10 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf(
-      "\nwrote %s\nmodeled io_bytes, modeled seconds and the mode/switch\n"
-      "trace are asserted bit-identical with prefetch off vs on; wall-clock\n"
-      "gain comes from staging the delayed device reads on the background\n"
-      "I/O pool while compute drains the previous block.\n",
+      "\nwrote %s\nevery modeled column (io bytes, modeled seconds, the\n"
+      "mode/switch trace, ...) is asserted bit-identical with prefetch off\n"
+      "vs on; wall-clock gain comes from staging the delayed device reads on\n"
+      "the background I/O pool while compute drains the previous block.\n",
       out_path.c_str());
   return 0;
 }

@@ -39,6 +39,17 @@ echo "==> graphhp cross-thread determinism (diff_metrics.py)"
     --threads 8 --csv build/ghp_t8.csv >/dev/null
 python3 scripts/diff_metrics.py build/ghp_t1.csv build/ghp_t8.csv
 
+# The measured prefetch_* columns differ between these two runs; the script
+# ignores every kMeasured column of the schema by default.
+echo "==> prefetch b-pull cross-thread determinism (diff_metrics.py)"
+./build/tools/hg_run --graph dataset:wiki --algo pagerank --mode bpull \
+    --prefetch-depth 4 --buffer 2000 --threads 1 \
+    --csv build/pf_bpull_t1.csv >/dev/null
+./build/tools/hg_run --graph dataset:wiki --algo pagerank --mode bpull \
+    --prefetch-depth 4 --buffer 2000 --threads 8 \
+    --csv build/pf_bpull_t8.csv >/dev/null
+python3 scripts/diff_metrics.py build/pf_bpull_t1.csv build/pf_bpull_t8.csv
+
 # The benchmark baselines are under version control so regressions show up
 # as diffs. The gate only reports drift against the committed files; it never
 # commits. Refreshing a baseline is a separate, deliberate commit.

@@ -8,60 +8,43 @@
 
 namespace hybridgraph {
 
+namespace {
+
+// Epoch cells: uint64_t as %llu, double as %.6f, bool as 0/1 in CSV and
+// true/false in JSON.
+std::string EpochCell(uint64_t v, bool) {
+  return StringFormat("%llu", static_cast<unsigned long long>(v));
+}
+std::string EpochCell(double v, bool) { return StringFormat("%.6f", v); }
+std::string EpochCell(bool v, bool json) {
+  if (json) return v ? "true" : "false";
+  return v ? "1" : "0";
+}
+
+}  // namespace
+
 std::string EpochMetricsCsvHeader() {
-  return "epoch,timestamp,batch_deltas,inserts,deletes,touched_vertices,warm,"
-         "supersteps,ingest_wall_s,converge_wall_s,modeled_seconds,read_bytes,"
-         "write_bytes,net_bytes,delta_runs,delta_bytes";
+  return JoinColumns(EpochMetrics{}, ",", [](const char* name, const auto&) {
+    return std::string(name);
+  });
 }
 
 std::string EpochMetricsCsvRow(const EpochMetrics& m) {
-  return StringFormat(
-      "%llu,%llu,%llu,%llu,%llu,%llu,%d,%llu,%.6f,%.6f,%.6f,%llu,%llu,%llu,"
-      "%llu,%llu",
-      static_cast<unsigned long long>(m.epoch),
-      static_cast<unsigned long long>(m.timestamp),
-      static_cast<unsigned long long>(m.batch_deltas),
-      static_cast<unsigned long long>(m.inserts),
-      static_cast<unsigned long long>(m.deletes),
-      static_cast<unsigned long long>(m.touched_vertices), m.warm ? 1 : 0,
-      static_cast<unsigned long long>(m.supersteps), m.ingest_wall_s,
-      m.converge_wall_s, m.modeled_seconds,
-      static_cast<unsigned long long>(m.read_bytes),
-      static_cast<unsigned long long>(m.write_bytes),
-      static_cast<unsigned long long>(m.net_bytes),
-      static_cast<unsigned long long>(m.delta_runs),
-      static_cast<unsigned long long>(m.delta_bytes));
+  return JoinColumns(m, ",", [](const char*, const auto& v) {
+    return EpochCell(v, false);
+  });
 }
 
 std::string EpochMetricsJson(const std::vector<EpochMetrics>& all) {
   std::string out = "[\n";
   for (size_t i = 0; i < all.size(); ++i) {
-    const EpochMetrics& m = all[i];
-    out += StringFormat(
-        "  {\"epoch\": %llu, \"timestamp\": %llu, \"batch_deltas\": %llu, "
-        "\"inserts\": %llu, \"deletes\": %llu, \"touched_vertices\": %llu, "
-        "\"warm\": %s, \"supersteps\": %llu, \"ingest_wall_s\": %.6f, "
-        "\"converge_wall_s\": %.6f, \"modeled_seconds\": %.6f, "
-        "\"read_bytes\": %llu, \"write_bytes\": %llu, \"net_bytes\": %llu, "
-        "\"delta_runs\": %llu, \"delta_bytes\": %llu}%s\n",
-        static_cast<unsigned long long>(m.epoch),
-        static_cast<unsigned long long>(m.timestamp),
-        static_cast<unsigned long long>(m.batch_deltas),
-        static_cast<unsigned long long>(m.inserts),
-        static_cast<unsigned long long>(m.deletes),
-        static_cast<unsigned long long>(m.touched_vertices),
-        m.warm ? "true" : "false",
-        static_cast<unsigned long long>(m.supersteps), m.ingest_wall_s,
-        m.converge_wall_s, m.modeled_seconds,
-        static_cast<unsigned long long>(m.read_bytes),
-        static_cast<unsigned long long>(m.write_bytes),
-        static_cast<unsigned long long>(m.net_bytes),
-        static_cast<unsigned long long>(m.delta_runs),
-        static_cast<unsigned long long>(m.delta_bytes),
-        i + 1 < all.size() ? "," : "");
+    out += "  {";
+    out += JoinColumns(all[i], ", ", [](const char* name, const auto& v) {
+      return StringFormat("\"%s\": ", name) + EpochCell(v, true);
+    });
+    out += i + 1 < all.size() ? "},\n" : "}\n";
   }
-  out += "]";
-  return out;
+  return out + "]";
 }
 
 Result<std::unique_ptr<AnyEpochEngine>> MakeEpochEngine(const JobConfig& config,

@@ -39,28 +39,6 @@
 
 namespace hybridgraph {
 
-/// \brief Per-epoch observability: what one batch cost to ingest and
-/// reconverge. Byte and modeled-time fields are deltas over the epoch (not
-/// running totals), so they are directly comparable to a cold run's totals.
-struct EpochMetrics {
-  uint64_t epoch = 0;             ///< 0-based epoch number (first batch = 0)
-  uint64_t timestamp = 0;         ///< EdgeBatch::timestamp
-  uint64_t batch_deltas = 0;      ///< deltas in the batch
-  uint64_t inserts = 0;
-  uint64_t deletes = 0;
-  uint64_t touched_vertices = 0;  ///< distinct batch endpoints
-  bool warm = false;              ///< delta propagation vs in-place recompute
-  uint64_t supersteps = 0;        ///< supersteps this epoch ran
-  double ingest_wall_s = 0;       ///< wall: ApplyEdgeBatch
-  double converge_wall_s = 0;     ///< wall: seed + StartEpoch + Run
-  double modeled_seconds = 0;     ///< modeled cluster time for the epoch
-  uint64_t read_bytes = 0;        ///< storage reads across nodes (modeled)
-  uint64_t write_bytes = 0;       ///< storage writes across nodes (modeled)
-  uint64_t net_bytes = 0;         ///< transport bytes across nodes (modeled)
-  uint64_t delta_runs = 0;        ///< overlay run backlog after the epoch
-  uint64_t delta_bytes = 0;       ///< overlay run bytes after the epoch
-};
-
 /// CSV header matching EpochMetricsCsvRow (no trailing newline).
 std::string EpochMetricsCsvHeader();
 /// One CSV row (no trailing newline).

@@ -7,9 +7,7 @@ namespace hybridgraph {
 void MergePullServeCounters(NodeState& node, uint32_t num_nodes) {
   for (uint32_t src = 0; src < num_nodes; ++src) {
     NodeState::PullServe& serve = node.pull_serve[src];
-    node.io.eblock_edge_bytes += serve.io.eblock_edge_bytes;
-    node.io.fragment_aux_bytes += serve.io.fragment_aux_bytes;
-    node.io.vrr_bytes += serve.io.vrr_bytes;
+    node.io += serve.io;
     node.cpu_seconds += serve.cpu_seconds;
     node.msgs_produced += serve.msgs_produced;
     node.msgs_combined += serve.msgs_combined;

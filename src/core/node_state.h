@@ -139,12 +139,6 @@ struct NodeState {
   uint64_t local_iters = 0;
   uint64_t local_depth = 0;
   uint64_t local_msg_bytes = 0;
-  // Prefetch-pipeline observability (drained from ReadPipeline at
-  // end-of-superstep accounting; measured, not modeled).
-  uint64_t prefetch_scheduled = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_misses = 0;
-  uint64_t prefetch_hit_bytes = 0;
   // I/O classification counters (bytes).
   IoBreakdown io;
 

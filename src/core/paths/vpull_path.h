@@ -31,6 +31,7 @@
 
 #include "core/lru_cache.h"
 #include "core/message_path.h"
+#include "core/superstep_accounting.h"
 #include "core/superstep_driver.h"
 #include "io/prefetch.h"
 #include "io/storage.h"
@@ -261,7 +262,6 @@ class VPullPath : public MessagePath<P> {
     SuperstepMetrics m;
     m.superstep = driver_->superstep();
     m.mode = EngineMode::kVPull;
-    double max_node_seconds = 0, max_blocking = 0;
     for (auto& node : nodes_) {
       m.messages_produced += node.msgs_produced;
       m.messages_on_wire += node.msgs_produced;
@@ -279,32 +279,12 @@ class VPullPath : public MessagePath<P> {
       m.net_bytes += net.bytes_sent;
       m.net_frames += net.frames_sent;
 
-      const double io_s =
-          config.memory_resident ? 0.0 : disk.ModeledSeconds(config.disk);
-      const double net_s =
-          config.net.SecondsFor(std::max(net.bytes_sent, net.bytes_received));
-      const double work_s = node.cpu_seconds + io_s;
-      const double blocking_s = std::max(0.0, net_s - work_s) +
-                                config.net.SecondsFor(std::min<uint64_t>(
-                                    config.sending_threshold_bytes,
-                                    net.bytes_sent));
-      m.cpu_seconds += node.cpu_seconds;
-      m.io_seconds += io_s;
-      m.net_seconds += net_s;
-      max_blocking = std::max(max_blocking, blocking_s);
-      max_node_seconds = std::max(max_node_seconds, work_s + blocking_s);
+      // GAS has no per-flush connection overhead: 0 flushes.
+      AddNodeModeledTime(config, node.cpu_seconds, 0, disk, net, &m);
       m.memory_highwater_bytes +=
           node.cache->size() * kValueRecord + node.mem_highwater;
-      if (node.pipeline) {
-        const ReadPipeline::Stats ps = node.pipeline->DrainStats();
-        m.prefetch_scheduled += ps.scheduled;
-        m.prefetch_hits += ps.hits;
-        m.prefetch_misses += ps.misses + ps.fallbacks;
-        m.prefetch_hit_bytes += ps.hit_bytes;
-      }
+      AddPrefetchStats(node.pipeline.get(), &m);
     }
-    m.blocking_seconds = max_blocking;
-    m.superstep_seconds = max_node_seconds;
     return m;
   }
 
@@ -437,12 +417,12 @@ class VPullPath : public MessagePath<P> {
   Status HandleApplyBroadcast(GasNode& node, Slice payload) {
     // (vertex, value, responding) triples from masters to replicas.
     Decoder dec(payload);
-    uint64_t count;
+    uint64_t count = 0;
     HG_RETURN_IF_ERROR(dec.GetVarint64(&count));
     Slice raw;
     for (uint64_t k = 0; k < count; ++k) {
       uint32_t v;
-      uint8_t responding;
+      uint8_t responding = 0;
       HG_RETURN_IF_ERROR(dec.GetFixed32(&v));
       HG_RETURN_IF_ERROR(dec.GetU8(&responding));
       HG_RETURN_IF_ERROR(dec.GetRaw(kValueRecord, &raw));

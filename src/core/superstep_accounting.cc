@@ -22,10 +22,6 @@ void BeginBlockAccounting(std::vector<NodeState>& nodes, Transport& transport) {
     node.local_iters = 0;
     node.local_depth = 0;
     node.local_msg_bytes = 0;
-    node.prefetch_scheduled = 0;
-    node.prefetch_hits = 0;
-    node.prefetch_misses = 0;
-    node.prefetch_hit_bytes = 0;
     node.io = IoBreakdown{};
     node.disk_snapshot = *node.storage->meter();
     node.net_snapshot = *transport.meter(node.id);
@@ -45,6 +41,36 @@ uint64_t ModeledMemoryBytes(const NodeState& node,
   return meta + node.mem_highwater + extra_buffer_bytes;
 }
 
+void AddNodeModeledTime(const JobConfig& config, double cpu_seconds,
+                        uint64_t flushes, const DiskMeter& disk,
+                        const NetMeter& net, SuperstepMetrics* m) {
+  const double io_s =
+      config.memory_resident ? 0.0 : disk.ModeledSeconds(config.disk);
+  const double send_s = config.net.SecondsFor(net.bytes_sent);
+  const double recv_s = config.net.SecondsFor(net.bytes_received);
+  const double net_s = std::max(send_s, recv_s);
+  const double work_s = cpu_seconds + io_s;
+  const double tail_s = config.net.SecondsFor(
+      std::min<uint64_t>(config.sending_threshold_bytes, net.bytes_sent));
+  const double blocking_s =
+      static_cast<double>(flushes) * config.flush_overhead_s + tail_s +
+      std::max(0.0, net_s - work_s);
+  m->cpu_seconds += cpu_seconds;
+  m->io_seconds += io_s;
+  m->net_seconds += net_s;
+  m->blocking_seconds = std::max(m->blocking_seconds, blocking_s);
+  m->superstep_seconds = std::max(m->superstep_seconds, work_s + blocking_s);
+}
+
+void AddPrefetchStats(ReadPipeline* pipeline, SuperstepMetrics* m) {
+  if (pipeline == nullptr) return;
+  const ReadPipeline::Stats ps = pipeline->DrainStats();
+  m->prefetch_scheduled += ps.scheduled;
+  m->prefetch_hits += ps.hits;
+  m->prefetch_misses += ps.misses + ps.fallbacks;
+  m->prefetch_hit_bytes += ps.hit_bytes;
+}
+
 SuperstepMetrics AccumulateBlockMetrics(std::vector<NodeState>& nodes,
                                         const BlockAccountingInputs& in) {
   const JobConfig& config = *in.config;
@@ -53,37 +79,28 @@ SuperstepMetrics AccumulateBlockMetrics(std::vector<NodeState>& nodes,
   m.mode = in.produce_mode;
   m.switched = in.switched;
 
-  double max_node_seconds = 0;
-  double max_blocking = 0;
   uint64_t max_node_msgs = 0;
   uint64_t max_node_edges = 0;
-  uint64_t sum_edges = 0;
   size_t node_idx = 0;
   for (auto& node : nodes) {
     max_node_msgs = std::max(max_node_msgs, node.msgs_produced);
     max_node_edges = std::max(max_node_edges, node.edges_scanned);
-    sum_edges += node.edges_scanned;
     m.edges_scanned += node.edges_scanned;
     m.pull_requests += node.pull_requests;
     m.messages_produced += node.msgs_produced;
     m.messages_on_wire += node.msgs_wire;
     m.messages_combined += node.msgs_combined;
     m.messages_spilled += node.inbox_next.spilled;
-    m.io.vt_bytes += node.io.vt_bytes;
-    m.io.adj_edge_bytes += node.io.adj_edge_bytes;
-    m.io.eblock_edge_bytes += node.io.eblock_edge_bytes;
-    m.io.fragment_aux_bytes += node.io.fragment_aux_bytes;
-    m.io.vrr_bytes += node.io.vrr_bytes;
-    m.io.msg_spill_read += node.io.msg_spill_read;
+    // A node classifies its own reads; its spill-write and other columns
+    // stay zero and are filled from the disk-meter delta below.
+    m.io += node.io;
 
     const DiskMeter disk_delta =
         node.storage->meter()->DeltaSince(node.disk_snapshot);
     // Spill writes are the only random writes in push/b-pull paths.
     m.io.msg_spill_write += disk_delta.bytes(IoClass::kRandWrite);
     const uint64_t classified =
-        node.io.vt_bytes + node.io.adj_edge_bytes + node.io.eblock_edge_bytes +
-        node.io.fragment_aux_bytes + node.io.vrr_bytes +
-        node.io.msg_spill_read + disk_delta.bytes(IoClass::kRandWrite);
+        node.io.Total() + disk_delta.bytes(IoClass::kRandWrite);
     const uint64_t total = disk_delta.TotalBytes();
     m.io.other_bytes += total > classified ? total - classified : 0;
 
@@ -92,27 +109,8 @@ SuperstepMetrics AccumulateBlockMetrics(std::vector<NodeState>& nodes,
     m.net_bytes += net_delta.bytes_sent;
     m.net_frames += net_delta.frames_sent;
 
-    const double io_s =
-        config.memory_resident ? 0.0 : disk_delta.ModeledSeconds(config.disk);
-    const double send_s = config.net.SecondsFor(net_delta.bytes_sent);
-    const double recv_s = config.net.SecondsFor(net_delta.bytes_received);
-    const double net_s = std::max(send_s, recv_s);
-    // Blocking: per-flush connection overhead + the unoverlapped tail (the
-    // last package can never overlap with compute) + any transfer time not
-    // hidden behind local work.
-    const double work_s = node.cpu_seconds + io_s;
-    const double tail_s = config.net.SecondsFor(std::min<uint64_t>(
-        config.sending_threshold_bytes, net_delta.bytes_sent));
-    const double blocking_s =
-        static_cast<double>(node.flushes) * config.flush_overhead_s + tail_s +
-        std::max(0.0, net_s - work_s);
-    const double node_s = work_s + blocking_s;
-
-    m.cpu_seconds += node.cpu_seconds;
-    m.io_seconds += io_s;
-    m.net_seconds += net_s;
-    max_blocking = std::max(max_blocking, blocking_s);
-    max_node_seconds = std::max(max_node_seconds, node_s);
+    AddNodeModeledTime(config, node.cpu_seconds, node.flushes, disk_delta,
+                       net_delta, &m);
 
     const uint64_t extra =
         in.extra_memory_bytes ? (*in.extra_memory_bytes)[node_idx] : 0;
@@ -131,19 +129,7 @@ SuperstepMetrics AccumulateBlockMetrics(std::vector<NodeState>& nodes,
     // per level of that chain.
     m.barriers_saved = std::max(m.barriers_saved, node.local_depth);
 
-    // Drain the pipeline's since-last-drain counters (measured, not
-    // modeled — never feeds the modeled seconds or byte columns above).
-    if (node.pipeline) {
-      const ReadPipeline::Stats ps = node.pipeline->DrainStats();
-      node.prefetch_scheduled += ps.scheduled;
-      node.prefetch_hits += ps.hits;
-      node.prefetch_misses += ps.misses + ps.fallbacks;
-      node.prefetch_hit_bytes += ps.hit_bytes;
-    }
-    m.prefetch_scheduled += node.prefetch_scheduled;
-    m.prefetch_hits += node.prefetch_hits;
-    m.prefetch_misses += node.prefetch_misses;
-    m.prefetch_hit_bytes += node.prefetch_hit_bytes;
+    AddPrefetchStats(node.pipeline.get(), &m);
 
     uint64_t responding = 0;
     for (uint8_t r : node.responding_next) responding += r;
@@ -151,8 +137,6 @@ SuperstepMetrics AccumulateBlockMetrics(std::vector<NodeState>& nodes,
     m.active_vertices += node.updated_vertices;
     ++node_idx;
   }
-  m.blocking_seconds = max_blocking;
-  m.superstep_seconds = max_node_seconds;
 
   // Load imbalance: max-node share over the perfectly balanced share
   // (1.0 = even, num_nodes = everything on one node, 0 = nothing moved).
@@ -162,9 +146,9 @@ SuperstepMetrics AccumulateBlockMetrics(std::vector<NodeState>& nodes,
                         ? static_cast<double>(max_node_msgs) * num_nodes /
                               static_cast<double>(m.messages_produced)
                         : 0.0;
-  m.edge_imbalance = sum_edges > 0
+  m.edge_imbalance = m.edges_scanned > 0
                          ? static_cast<double>(max_node_edges) * num_nodes /
-                               static_cast<double>(sum_edges)
+                               static_cast<double>(m.edges_scanned)
                          : 0.0;
 
   const TransportFaultCounters faults =

@@ -10,6 +10,8 @@
 #include "core/job_config.h"
 #include "core/node_state.h"
 #include "core/run_metrics.h"
+#include "io/disk_model.h"
+#include "io/prefetch.h"
 #include "net/transport.h"
 
 namespace hybridgraph {
@@ -37,6 +39,17 @@ struct BlockAccountingInputs {
 /// stay with the driver).
 SuperstepMetrics AccumulateBlockMetrics(std::vector<NodeState>& nodes,
                                         const BlockAccountingInputs& in);
+
+/// Folds one node's modeled superstep time into `m` (DESIGN.md §6a): io from
+/// the disk delta (0 when memory-resident), net = slower of send/receive,
+/// blocking = flushes × overhead + the unoverlapped tail + net time not hidden
+/// behind work. cpu/io/net sum over nodes; blocking and work+blocking take max.
+void AddNodeModeledTime(const JobConfig& config, double cpu_seconds,
+                        uint64_t flushes, const DiskMeter& disk,
+                        const NetMeter& net, SuperstepMetrics* m);
+
+/// Drains `pipeline`'s counters into the measured prefetch_* columns of `m`.
+void AddPrefetchStats(ReadPipeline* pipeline, SuperstepMetrics* m);
 
 /// Modeled memory: VE-BLOCK metadata kept resident by b-pull/hybrid plus the
 /// node's buffer high-water plus the path-specific extra (ModeledMemoryBytes).

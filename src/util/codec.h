@@ -127,13 +127,13 @@ class Decoder {
   }
 
   Status GetFloat(float* v) {
-    uint32_t bits;
+    uint32_t bits = 0;
     HG_RETURN_IF_ERROR(GetFixed32(&bits));
     std::memcpy(v, &bits, sizeof(*v));
     return Status::OK();
   }
   Status GetDouble(double* v) {
-    uint64_t bits;
+    uint64_t bits = 0;
     HG_RETURN_IF_ERROR(GetFixed64(&bits));
     std::memcpy(v, &bits, sizeof(*v));
     return Status::OK();

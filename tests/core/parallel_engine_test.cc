@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <string>
+#include <vector>
 
 #include "algos/pagerank.h"
 #include "algos/sssp.h"
@@ -19,54 +20,14 @@ namespace {
 
 EdgeListGraph TestGraph() { return GeneratePowerLaw(800, 8.0, 0.75, 321); }
 
-void ExpectSameMetrics(const SuperstepMetrics& a, const SuperstepMetrics& b,
-                       const std::string& where) {
-  EXPECT_EQ(a.superstep, b.superstep) << where;
-  EXPECT_EQ(a.mode, b.mode) << where;
-  EXPECT_EQ(a.switched, b.switched) << where;
-  EXPECT_EQ(a.active_vertices, b.active_vertices) << where;
-  EXPECT_EQ(a.responding_vertices, b.responding_vertices) << where;
-  EXPECT_EQ(a.messages_produced, b.messages_produced) << where;
-  EXPECT_EQ(a.messages_on_wire, b.messages_on_wire) << where;
-  EXPECT_EQ(a.messages_combined, b.messages_combined) << where;
-  EXPECT_EQ(a.messages_spilled, b.messages_spilled) << where;
-  EXPECT_EQ(a.io.vt_bytes, b.io.vt_bytes) << where;
-  EXPECT_EQ(a.io.adj_edge_bytes, b.io.adj_edge_bytes) << where;
-  EXPECT_EQ(a.io.msg_spill_write, b.io.msg_spill_write) << where;
-  EXPECT_EQ(a.io.msg_spill_read, b.io.msg_spill_read) << where;
-  EXPECT_EQ(a.io.eblock_edge_bytes, b.io.eblock_edge_bytes) << where;
-  EXPECT_EQ(a.io.fragment_aux_bytes, b.io.fragment_aux_bytes) << where;
-  EXPECT_EQ(a.io.vrr_bytes, b.io.vrr_bytes) << where;
-  EXPECT_EQ(a.io.other_bytes, b.io.other_bytes) << where;
-  EXPECT_EQ(a.net_bytes, b.net_bytes) << where;
-  EXPECT_EQ(a.net_frames, b.net_frames) << where;
-  // Modeled times are sums of config constants in a deterministic order, so
-  // they must be bit-identical, not merely close.
-  EXPECT_EQ(a.cpu_seconds, b.cpu_seconds) << where;
-  EXPECT_EQ(a.io_seconds, b.io_seconds) << where;
-  EXPECT_EQ(a.net_seconds, b.net_seconds) << where;
-  EXPECT_EQ(a.blocking_seconds, b.blocking_seconds) << where;
-  EXPECT_EQ(a.superstep_seconds, b.superstep_seconds) << where;
-  EXPECT_EQ(a.memory_highwater_bytes, b.memory_highwater_bytes) << where;
-  EXPECT_EQ(a.spill_merge_buffer_bytes, b.spill_merge_buffer_bytes) << where;
-  EXPECT_EQ(a.spill_peak_resident, b.spill_peak_resident) << where;
-  EXPECT_EQ(a.spill_combined, b.spill_combined) << where;
-  EXPECT_EQ(a.aggregate, b.aggregate) << where;
-  EXPECT_EQ(a.q_t, b.q_t) << where;
-  EXPECT_EQ(a.predicted_mco, b.predicted_mco) << where;
-  EXPECT_EQ(a.predicted_cio_push, b.predicted_cio_push) << where;
-  EXPECT_EQ(a.predicted_cio_bpull, b.predicted_cio_bpull) << where;
-  EXPECT_EQ(a.actual_mco, b.actual_mco) << where;
-  EXPECT_EQ(a.actual_cio_push, b.actual_cio_push) << where;
-  EXPECT_EQ(a.actual_cio_bpull, b.actual_cio_bpull) << where;
-}
-
 void ExpectSameRun(const JobStats& a, const JobStats& b,
                    const std::string& mode_name) {
   ASSERT_EQ(a.supersteps.size(), b.supersteps.size()) << mode_name;
   for (size_t t = 0; t < a.supersteps.size(); ++t) {
-    ExpectSameMetrics(a.supersteps[t], b.supersteps[t],
-                      mode_name + " superstep " + std::to_string(t));
+    // Every kModeled column of the schema, doubles bit for bit.
+    EXPECT_EQ(ModeledColumnDiffs(a.supersteps[t], b.supersteps[t]),
+              std::vector<std::string>{})
+        << mode_name << " superstep " << t;
   }
   EXPECT_EQ(a.converged, b.converged) << mode_name;
 }
@@ -114,7 +75,9 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ParallelEngineTest,
                                            EngineMode::kPushM,
                                            EngineMode::kBPull,
                                            EngineMode::kHybrid,
-                                           EngineMode::kVPull),
+                                           EngineMode::kVPull,
+                                           EngineMode::kAdaptive,
+                                           EngineMode::kGraphHp),
                          [](const auto& info) { return ParamName(info.param); });
 
 // Plain TEST: must not share the ParallelEngineTest suite name with the
