@@ -1,13 +1,21 @@
 // Micro-benchmarks (google-benchmark) of the substrate hot paths: codec,
-// message batch encode/decode, storage access, spill merge, and Eblock scan.
+// message batch encode/decode, storage access, spill merge, Eblock scan, and
+// the flat message-plane kernels (staging, push apply, spill run, merge).
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <memory>
+
+#include "core/message_flow.h"
+#include "core/node_state.h"
+#include "core/send_staging.h"
 #include "graph/generator.h"
 #include "graph/ve_block_store.h"
 #include "io/message_spill.h"
 #include "io/storage.h"
 #include "net/message_codec.h"
 #include "util/codec.h"
+#include "util/message_arena.h"
 #include "util/rng.h"
 
 namespace hybridgraph {
@@ -98,6 +106,116 @@ void BM_SpillMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * runs * per_run);
 }
 BENCHMARK(BM_SpillMerge)->Arg(1000)->Arg(10000);
+
+// ------------------------------------------------------- flat message plane
+// Shapes of the pr-push-spill perfbench workload: 8-byte PageRank messages,
+// a 16 KiB sending threshold (1,365 records per frame), B_i = 2,500 and the
+// 171 spilled runs one node merges per superstep.
+constexpr size_t kPlaneMsg = 8;
+constexpr uint64_t kSendingThreshold = 16 * 1024;
+constexpr uint32_t kFrameRecords = kSendingThreshold / (4 + kPlaneMsg) + 1;
+
+MessageArena RandomArena(uint32_t n, uint32_t num_vertices, uint64_t seed) {
+  MessageArena msgs(kPlaneMsg);
+  Rng rng(seed);
+  uint8_t payload[kPlaneMsg] = {};
+  for (uint32_t i = 0; i < n; ++i) {
+    std::memcpy(payload, &i, sizeof(i));
+    msgs.Append(static_cast<uint32_t>(rng.NextBounded(num_vertices)), payload);
+  }
+  return msgs;
+}
+
+void BM_StagingAppendEncode(benchmark::State& state) {
+  constexpr uint32_t kDests = 5;
+  const MessageArena msgs = RandomArena(100000, 15500, 1);
+  SendStaging staging;
+  staging.Init(kDests, kPlaneMsg, nullptr);
+  Buffer frame;
+  for (auto _ : state) {
+    for (size_t i = 0; i < msgs.size(); ++i) {
+      const uint32_t d = msgs.dst(i) % kDests;
+      staging.Append(d, msgs.dst(i), msgs.payload(i));
+      if (staging.count(d) * (4 + kPlaneMsg) >= kSendingThreshold) {
+        frame.Clear();
+        staging.EncodeBatch(d, &frame);
+        staging.Clear(d);
+        benchmark::DoNotOptimize(frame.data());
+      }
+    }
+    for (uint32_t d = 0; d < kDests; ++d) staging.Clear(d);
+  }
+  state.SetItemsProcessed(state.iterations() * msgs.size());
+}
+BENCHMARK(BM_StagingAppendEncode);
+
+void BM_ApplyPushBatchOverflow(benchmark::State& state) {
+  // One superstep's worth of frames into one node: the first B_i messages
+  // stay in memory, every later one goes through the overflow arena into a
+  // spilled run.
+  constexpr uint32_t kVertices = 3100;
+  constexpr int kFrames = 40;
+  MemStorage storage;
+  NodeState node;
+  node.range = {0, kVertices};
+  node.inbox_next.Init(kPlaneMsg, std::make_unique<MessageSpill>(
+                                      &storage, "n/spill", kPlaneMsg));
+  node.push_overflow.Init(kPlaneMsg);
+  PushApplyPolicy policy;
+  policy.msg_size = kPlaneMsg;
+  policy.buffer_cap = 2500;
+  Buffer frame;
+  FlatBatchCodec::Encode(RandomArena(kFrameRecords, kVertices, 2), &frame);
+  for (auto _ : state) {
+    for (int f = 0; f < kFrames; ++f) {
+      benchmark::DoNotOptimize(
+          ApplyPushBatch(node, frame.AsSlice(), policy).ok());
+    }
+    state.PauseTiming();
+    node.inbox_next.ClearMem();
+    (void)node.inbox_next.spill()->Clear();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kFrames * kFrameRecords);
+}
+BENCHMARK(BM_ApplyPushBatchOverflow);
+
+void BM_FlatSpillRun(benchmark::State& state) {
+  constexpr int kRuns = 40;
+  const MessageArena run = RandomArena(kFrameRecords, 3100, 3);
+  MemStorage storage;
+  MessageSpill spill(&storage, "s", kPlaneMsg);
+  for (auto _ : state) {
+    for (int r = 0; r < kRuns; ++r) {
+      benchmark::DoNotOptimize(spill.SpillRun(run).ok());
+    }
+    state.PauseTiming();
+    (void)spill.Clear();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kRuns * kFrameRecords);
+}
+BENCHMARK(BM_FlatSpillRun);
+
+void BM_Merge171Runs(benchmark::State& state) {
+  constexpr int kRuns = 171;
+  MemStorage storage;
+  MessageSpill spill(&storage, "m", kPlaneMsg);
+  for (int r = 0; r < kRuns; ++r) {
+    (void)spill.SpillRun(RandomArena(kFrameRecords, 3100, 10 + r));
+  }
+  for (auto _ : state) {
+    auto it = spill.NewMergeIterator(MessageSpill::kDefaultMergeBufferBytes);
+    uint64_t sum = 0;
+    while ((*it)->Valid()) {
+      sum += (*it)->entry().dst;
+      (void)(*it)->Next();
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kRuns * kFrameRecords);
+}
+BENCHMARK(BM_Merge171Runs);
 
 void BM_EblockScan(benchmark::State& state) {
   const auto graph = GeneratePowerLaw(5000, 12.0, 0.8, 9);

@@ -36,6 +36,8 @@ src/core/recovery.h
 src/io/storage.h
 src/io/prefetch.h
 src/io/message_spill.h
+src/net/message_codec.h
+src/util/message_arena.h
 src/core/epoch_driver.h
 src/graph/edge_delta.h
 src/graph/ve_block_overlay.h

@@ -9,8 +9,10 @@ cd "$(dirname "$0")/.."
 echo "==> header hygiene (each public core header compiles in an isolated TU)"
 sh scripts/check_headers.sh
 
-echo "==> plain build + full ctest"
-cmake -B build -S .
+# Warnings are errors here (the build is warning-free); plain developer
+# builds keep them as warnings.
+echo "==> plain build (-Werror) + full ctest"
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
@@ -38,6 +40,15 @@ echo "==> graphhp cross-thread determinism (diff_metrics.py)"
 ./build/tools/hg_run --graph dataset:wiki --algo sssp --mode graphhp \
     --threads 8 --csv build/ghp_t8.csv >/dev/null
 python3 scripts/diff_metrics.py build/ghp_t1.csv build/ghp_t8.csv
+
+# B_i = 2000 spills most of each superstep's messages: staging, push apply,
+# spill runs and the spill merge all run, on per-node state only.
+echo "==> push-spill cross-thread determinism (diff_metrics.py)"
+./build/tools/hg_run --graph dataset:wiki --algo pagerank --mode push \
+    --buffer 2000 --threads 1 --csv build/push_spill_t1.csv >/dev/null
+./build/tools/hg_run --graph dataset:wiki --algo pagerank --mode push \
+    --buffer 2000 --threads 8 --csv build/push_spill_t8.csv >/dev/null
+python3 scripts/diff_metrics.py build/push_spill_t1.csv build/push_spill_t8.csv
 
 # The measured prefetch_* columns differ between these two runs; the script
 # ignores every kMeasured column of the schema by default.

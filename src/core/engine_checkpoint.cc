@@ -95,16 +95,16 @@ Status RestoreEngineCheckpoint(std::vector<NodeState>& nodes,
   }
   data = Slice(data.data(), body_size);
   Decoder dec(data);
-  uint32_t magic, version;
+  uint32_t magic = 0, version = 0;
   HG_RETURN_IF_ERROR(dec.GetFixed32(&magic));
   HG_RETURN_IF_ERROR(dec.GetFixed32(&version));
   if (magic != ckpt_detail::kMagic) return Status::Corruption("bad checkpoint magic");
   if (version != ckpt_detail::kVersion) {
     return Status::InvalidArgument("unsupported checkpoint version");
   }
-  uint64_t superstep, prev_resp;
-  uint8_t mode, prev_produce, converged;
-  int64_t last_switch;
+  uint64_t superstep = 0, prev_resp = 0;
+  uint8_t mode = 0, prev_produce = 0, converged = 0;
+  int64_t last_switch = 0;
   HG_RETURN_IF_ERROR(dec.GetVarint64(&superstep));
   HG_RETURN_IF_ERROR(dec.GetU8(&mode));
   HG_RETURN_IF_ERROR(dec.GetU8(&prev_produce));
@@ -150,13 +150,13 @@ Status RestoreEngineCheckpoint(std::vector<NodeState>& nodes,
     // orphans a mid-spill crash left behind); Clear() deletes by prefix.
     node.inbox_next.ClearMem();
     HG_RETURN_IF_ERROR(node.inbox_next.spill()->Clear());
-    uint64_t count;
+    uint64_t count = 0;
     HG_RETURN_IF_ERROR(dec.GetVarint64(&count));
     const bool unlimited =
         config.msg_buffer_per_node == UINT64_MAX || config.memory_resident;
     std::vector<SpillEntry> overflow;
     for (uint64_t i = 0; i < count; ++i) {
-      uint32_t dst;
+      uint32_t dst = 0;
       Slice payload;
       HG_RETURN_IF_ERROR(dec.GetFixed32(&dst));
       HG_RETURN_IF_ERROR(dec.GetRaw(msg_size, &payload));

@@ -212,6 +212,7 @@ Status BuildBlockTopology(const EdgeListGraph& graph, const JobConfig& config,
     node.vblock_res_next.assign(partition->NumVblocksOf(i), 0);
     node.pending.Init(n, msg_size, hooks.pending_combiner);
     node.staging.Init(T, msg_size, hooks.staging_combiner);
+    node.push_overflow.Init(msg_size);
     node.push_staged.assign(T, {});
     node.pull_serve.assign(T, {});
     node.pull_advert_staged.assign(T, {});

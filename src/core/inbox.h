@@ -12,6 +12,7 @@
 
 #include "graph/types.h"
 #include "io/message_spill.h"
+#include "util/message_arena.h"
 
 namespace hybridgraph {
 
@@ -24,10 +25,10 @@ class MessageInbox {
   /// Must be called before any Append; `spill` may be null in unit tests.
   void Init(size_t msg_size, std::unique_ptr<MessageSpill> spill);
 
-  void Append(VertexId dst, const uint8_t* payload);
-  size_t count() const { return dsts_.size(); }
-  VertexId dst(size_t i) const { return dsts_[i]; }
-  const uint8_t* payload(size_t i) const { return payloads_.data() + i * msg_size_; }
+  void Append(VertexId dst, const uint8_t* payload) { mem_.Append(dst, payload); }
+  size_t count() const { return mem_.size(); }
+  VertexId dst(size_t i) const { return mem_.dst(i); }
+  const uint8_t* payload(size_t i) const { return mem_.payload(i); }
 
   MessageSpill* spill() const { return spill_.get(); }
 
@@ -42,9 +43,7 @@ class MessageInbox {
   uint64_t spilled = 0;
 
  private:
-  size_t msg_size_ = 0;
-  std::vector<VertexId> dsts_;
-  std::vector<uint8_t> payloads_;
+  MessageArena mem_{0};
   std::unique_ptr<MessageSpill> spill_;
 };
 

@@ -7,16 +7,32 @@
 
 #include "io/message_spill.h"
 #include "net/message_codec.h"
+#include "util/string_util.h"
 
 namespace hybridgraph {
 
-Status ApplyPushBatch(NodeState& node, Slice payload,
-                      const PushApplyPolicy& policy) {
-  std::vector<std::pair<uint32_t, std::vector<uint8_t>>> msgs;
-  HG_RETURN_IF_ERROR(FlatBatchCodec::Decode(payload, policy.msg_size, &msgs));
+namespace {
 
-  std::vector<SpillEntry> overflow;
-  for (auto& [dst, bytes] : msgs) {
+/// A received message naming a vertex this node does not own is corrupt;
+/// checked before the id is turned into a local index.
+Status CheckOwned(const NodeState& node, uint32_t dst) {
+  if (node.range.Contains(dst)) return Status::OK();
+  return Status::Corruption(StringFormat(
+      "message for vertex %u outside node %u's range [%u, %u)", dst, node.id,
+      node.range.begin, node.range.end));
+}
+
+/// The push-apply kernel over any flat batch (a FlatBatchView read in place
+/// from the wire, or a MessageArena): size(), dst(i), payload(i).
+template <typename Batch>
+Status ApplyPushMessagesImpl(NodeState& node, const Batch& msgs,
+                             const PushApplyPolicy& policy) {
+  MessageArena& overflow = node.push_overflow;
+  overflow.Clear();
+  for (size_t i = 0; i < msgs.size(); ++i) {
+    const uint32_t dst = msgs.dst(i);
+    HG_RETURN_IF_ERROR(CheckOwned(node, dst));
+    const uint8_t* bytes = msgs.payload(i);
     const uint32_t li = node.LocalIdx(dst);
     ++node.inbox_next.total;
     if (policy.online_compute) {
@@ -27,29 +43,43 @@ Status ApplyPushBatch(NodeState& node, Slice payload,
           uint8_t* acc =
               node.moc_acc.data() + static_cast<size_t>(li) * policy.msg_size;
           if (node.moc_has[li]) {
-            policy.combiner(acc, bytes.data());
+            policy.combiner(acc, bytes);
           } else {
-            std::memcpy(acc, bytes.data(), policy.msg_size);
+            std::memcpy(acc, bytes, policy.msg_size);
           }
         }
         node.moc_has[li] = 1;
         continue;
       }
-      overflow.push_back(SpillEntry{dst, std::move(bytes)});
+      overflow.Append(dst, bytes);
       ++node.inbox_next.spilled;
       continue;
     }
     if (policy.unlimited || node.inbox_next.count() < policy.buffer_cap) {
-      node.inbox_next.Append(dst, bytes.data());
+      node.inbox_next.Append(dst, bytes);
     } else {
-      overflow.push_back(SpillEntry{dst, std::move(bytes)});
+      overflow.Append(dst, bytes);
       ++node.inbox_next.spilled;
     }
   }
   if (!overflow.empty()) {
-    HG_RETURN_IF_ERROR(node.inbox_next.spill()->SpillRun(std::move(overflow)));
+    HG_RETURN_IF_ERROR(node.inbox_next.spill()->SpillRun(overflow));
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status ApplyPushBatch(NodeState& node, Slice payload,
+                      const PushApplyPolicy& policy) {
+  FlatBatchView batch;
+  HG_RETURN_IF_ERROR(FlatBatchView::Parse(payload, policy.msg_size, &batch));
+  return ApplyPushMessagesImpl(node, batch, policy);
+}
+
+Status ApplyPushMessages(NodeState& node, const MessageArena& msgs,
+                         const PushApplyPolicy& policy) {
+  return ApplyPushMessagesImpl(node, msgs, policy);
 }
 
 Status DrainStagedPushBatches(NodeState& node, uint32_t num_nodes,
@@ -131,20 +161,22 @@ Status CollectBPullMessages(NodeState& node, const RangePartition& partition,
   Buffer req;
   Encoder enc(&req);
   std::vector<uint8_t> response;
-  std::vector<GroupedBatchCodec::Group> groups;
   const auto ingest = [&]() -> Status {
-    groups.clear();
-    HG_RETURN_IF_ERROR(
-        GroupedBatchCodec::Decode(Slice(response), policy.msg_size, &groups));
     // BR memory accounting; pre-pull (combinable only) doubles BR.
     node.mem_highwater = std::max<uint64_t>(
         node.mem_highwater, response.size() * (policy.prepull_double ? 2 : 1));
-    for (const auto& g : groups) {
-      for (const auto& p : g.payloads) {
-        node.pending.Add(node.LocalIdx(g.dst), p.data());
-      }
-    }
-    return Status::OK();
+    // Decoded in place: each group's payloads fold straight into the
+    // pending set from the response bytes.
+    return GroupedBatchCodec::ForEachGroup(
+        Slice(response), policy.msg_size,
+        [&](uint32_t dst, uint64_t n, const uint8_t* payloads) -> Status {
+          HG_RETURN_IF_ERROR(CheckOwned(node, dst));
+          const uint32_t li = node.LocalIdx(dst);
+          for (uint64_t j = 0; j < n; ++j) {
+            node.pending.Add(li, payloads + j * policy.msg_size);
+          }
+          return Status::OK();
+        });
   };
 
   if (policy.dedup_requests) {
@@ -187,19 +219,19 @@ Status DecodePullRequestTargets(Slice payload,
   targets->clear();
   Decoder dec(payload);
   if (payload.size() == 4) {
-    uint32_t vb;
+    uint32_t vb = 0;
     HG_RETURN_IF_ERROR(dec.GetFixed32(&vb));
     targets->push_back(vb);
     return Status::OK();
   }
-  uint32_t count;
+  uint32_t count = 0;
   HG_RETURN_IF_ERROR(dec.GetFixed32(&count));
   if (payload.size() != 4 + static_cast<size_t>(count) * 4) {
     return Status::Corruption("pull request target count mismatch");
   }
   targets->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    uint32_t vb;
+    uint32_t vb = 0;
     HG_RETURN_IF_ERROR(dec.GetFixed32(&vb));
     targets->push_back(vb);
   }

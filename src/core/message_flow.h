@@ -29,10 +29,18 @@ struct PushApplyPolicy {
   SendStaging::CombineRawFn combiner = nullptr;  ///< for the moc fold
 };
 
-/// Applies one decoded kPushMessages batch to node.inbox_next (or the moc
-/// accumulators under pushM), spilling overflow. Mirrors HandlePushBatch.
+/// Applies one kPushMessages batch to node.inbox_next (or the moc
+/// accumulators under pushM), spilling the B_i overflow as one run through
+/// the node's reused overflow arena. The frame is decoded in place (same
+/// bounds checks as FlatBatchCodec::Decode); a destination outside the
+/// node's range is Corruption before it indexes anything.
 Status ApplyPushBatch(NodeState& node, Slice payload,
                       const PushApplyPolicy& policy);
+
+/// ApplyPushBatch for messages already in flat form (the GraphHP carry):
+/// identical effect to applying their encoded batch.
+Status ApplyPushMessages(NodeState& node, const MessageArena& msgs,
+                         const PushApplyPolicy& policy);
 
 /// Applies the batches stashed by the kPushMessages handler, in sender
 /// order. Sequential execution delivered every batch from node 0 before any

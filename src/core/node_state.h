@@ -79,6 +79,10 @@ struct NodeState {
   // Messages collected for consumption this superstep.
   PendingSet pending;
 
+  // Scratch for the B_i overflow of one applied push batch: refilled and
+  // spilled as one run per batch, its capacity reused across batches.
+  MessageArena push_overflow{0};
+
   // Incoming kPushMessages payloads staged by the transport handler
   // (indexed by sender), applied to the inbox at the post-Phase-B drain in
   // sender order. Staging is what makes parallel Phase B deterministic:

@@ -205,8 +205,8 @@ class BlockPathBase : public MessagePath<P> {
     gen_ctx.superstep = gen_ctx.superstep - 1;
     gen_ctx.prev_aggregate = driver_->pull_gen_aggregate();
 
-    // Sending buffer BS, grouped per destination vertex.
-    std::vector<GroupedBatchCodec::Group> groups;
+    // Sending buffer BS, grouped per destination vertex in one flat arena.
+    GroupedBatchBuilder bs(P::kMessageSize);
     std::vector<int64_t> group_of;  // dst (local to requester block) -> index
 
     std::vector<uint8_t> value_bytes;
@@ -266,23 +266,19 @@ class BlockPathBase : public MessagePath<P> {
             ++produced;
             serve.cpu_seconds += config.cpu.per_message_s;
             int64_t& gi = group_of[e.dst - dst_range.begin];
-            if (gi < 0) {
-              gi = static_cast<int64_t>(groups.size());
-              groups.push_back({e.dst, {}});
-            }
-            auto& payloads = groups[static_cast<size_t>(gi)].payloads;
+            if (gi < 0) gi = bs.OpenGroup(e.dst);
+            const uint32_t g = static_cast<uint32_t>(gi);
             const bool combine = P::kCombinable && config.bpull_combining;
-            if (combine && !payloads.empty()) {
+            if (combine && bs.group_size(g) > 0) {
               // Combine into the single slot.
-              const Message prev =
-                  PodCodec<Message>::Decode(payloads[0].data());
-              PodCodec<Message>::Encode(P::Combine(prev, m),
-                                        payloads[0].data());
+              uint8_t* slot = bs.first_payload(g);
+              const Message prev = PodCodec<Message>::Decode(slot);
+              PodCodec<Message>::Encode(P::Combine(prev, m), slot);
               ++combined_away;
             } else {
               PodCodec<Message>::Encode(m, msg_bytes.data());
-              payloads.push_back(msg_bytes);
-              if (!combine && payloads.size() > 1) {
+              bs.Add(g, msg_bytes.data());
+              if (!combine && bs.group_size(g) > 1) {
                 ++combined_away;  // concatenation: shares the dst id on wire
               }
             }
@@ -295,8 +291,7 @@ class BlockPathBase : public MessagePath<P> {
     serve.msgs_combined += combined_away;
     serve.msgs_wire += produced - combined_away;
     // BS memory accounting: grouped batch bytes staged before transfer.
-    const uint64_t bs_bytes =
-        GroupedBatchCodec::EncodedSize(groups, P::kMessageSize);
+    const uint64_t bs_bytes = bs.EncodedSize();
     serve.bs_highwater = std::max(serve.bs_highwater, bs_bytes);
     // Flow control: the batch ships in threshold-sized packages, one in
     // flight.
@@ -305,7 +300,7 @@ class BlockPathBase : public MessagePath<P> {
             ? 0
             : (bs_bytes + config.sending_threshold_bytes - 1) /
                   std::max<uint64_t>(1, config.sending_threshold_bytes);
-    GroupedBatchCodec::Encode(groups, P::kMessageSize, response);
+    bs.Encode(response);
     return Status::OK();
   }
 

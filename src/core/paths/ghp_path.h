@@ -25,15 +25,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "core/paths/push_path.h"
 #include "core/trace.h"
 #include "graph/ve_block_store.h"
-#include "net/message_codec.h"
 #include "util/failpoint.h"
+#include "util/message_arena.h"
 
 namespace hybridgraph {
 
@@ -131,11 +129,17 @@ class GhpPath : public PushPath<P> {
         frag_of[scan.fragments[f].src - r.begin] = static_cast<int32_t>(f);
       }
 
-      std::vector<std::pair<uint32_t, std::vector<uint8_t>>> carry;
+      MessageArena carry(kMsgSize);
+      uint8_t msg_bytes[kMsgSize];
+      // This round's messages to inner destinations: dense per-Vblock slots
+      // (arrival order within a slot) plus the list of occupied slots,
+      // sorted before delivery so destinations see ascending id order.
+      std::vector<std::vector<Message>> local(r.size());
+      std::vector<uint32_t> touched;
       uint64_t depth = 0;
       while (!current.empty()) {
         // Produce this round's intra-Vblock messages from the senders.
-        std::map<VertexId, std::vector<Message>> local;  // inner dsts, ordered
+        touched.clear();
         uint64_t produced = 0;
         for (VertexId v : current) {
           const int32_t f = frag_of[v - r.begin];
@@ -154,15 +158,17 @@ class GhpPath : public PushPath<P> {
             node.cpu_seconds += config.cpu.per_message_s;
             ++produced;
             if (node.ve->IsBoundary(e.dst)) {
-              std::vector<uint8_t> bytes(kMsgSize);
-              PodCodec<Message>::Encode(m, bytes.data());
-              carry.emplace_back(e.dst, std::move(bytes));
+              PodCodec<Message>::Encode(m, msg_bytes);
+              carry.Append(e.dst, msg_bytes);
             } else {
-              local[e.dst].push_back(m);
+              std::vector<Message>& slot = local[e.dst - r.begin];
+              if (slot.empty()) touched.push_back(e.dst - r.begin);
+              slot.push_back(m);
             }
           }
         }
         current.clear();
+        std::sort(touched.begin(), touched.end());
         if (produced == 0) break;  // quiescent: no sender had intra out-edges
         // Superstep 0 is announce-only (programs ignore messages in Update
         // until superstep 1), so local delivery would drop them — carry
@@ -171,16 +177,16 @@ class GhpPath : public PushPath<P> {
             depth + 1 >= config.ghp_max_local_iters) {
           // Sweep cap reached. Carry every undelivered message — the inner
           // destinations consume theirs from the inbox next superstep.
-          for (auto& [dst, msgs] : local) {
-            for (const Message& m : msgs) {
-              std::vector<uint8_t> bytes(kMsgSize);
-              PodCodec<Message>::Encode(m, bytes.data());
-              carry.emplace_back(dst, std::move(bytes));
+          for (const uint32_t x : touched) {
+            for (const Message& m : local[x]) {
+              PodCodec<Message>::Encode(m, msg_bytes);
+              carry.Append(r.begin + x, msg_bytes);
             }
+            local[x].clear();
           }
           break;
         }
-        if (local.empty()) break;  // every message crossed to the carry
+        if (touched.empty()) break;  // every message crossed to the carry
         HG_FAIL_POINT("ghp.local");
         TraceSpan span(driver.trace(), "local.iter", driver.superstep(),
                        static_cast<int>(node.id), EngineMode::kGraphHp);
@@ -188,20 +194,21 @@ class GhpPath : public PushPath<P> {
         ++node.local_iters;
         // Deliver to the inner destinations in ascending id order and run
         // their updates against the in-hand block values.
-        for (auto& [dst, msgs] : local) {
-          const size_t at = static_cast<size_t>(dst - r.begin) * P::kValueSize;
+        for (const uint32_t x : touched) {
+          const VertexId dst = r.begin + x;
+          std::vector<Message>& msgs = local[x];
+          const size_t at = static_cast<size_t>(x) * P::kValueSize;
           const UpdateResult res = driver.UpdateVertex(
               node, dst, values.data() + at, msgs, block_dirty);
           node.local_msg_bytes += msgs.size() * kMsgRecordSize;
           if (res.respond) current.push_back(dst);
           node.active[node.LocalIdx(dst)] = 0;
+          msgs.clear();
         }
       }
       if (!carry.empty()) {
-        Buffer payload;
-        FlatBatchCodec::Encode(carry, kMsgSize, &payload);
         HG_RETURN_IF_ERROR(
-            ApplyPushBatch(node, payload.AsSlice(), this->apply_policy_));
+            ApplyPushMessages(node, carry, this->apply_policy_));
         node.local_msg_bytes += carry.size() * kMsgRecordSize;
       }
       node.local_depth = std::max(node.local_depth, depth);

@@ -398,20 +398,21 @@ class VPullPath : public MessagePath<P> {
   }
 
   Status HandleGatherPartial(GasNode& node, Slice payload) {
-    std::vector<GroupedBatchCodec::Group> groups;
-    HG_RETURN_IF_ERROR(GroupedBatchCodec::Decode(payload, kMsgSize, &groups));
-    for (const auto& g : groups) {
-      auto& slot = node.pending[g.dst];
-      for (const auto& p : g.payloads) {
-        const Message m = PodCodec<Message>::Decode(p.data());
-        if (P::kCombinable && !slot.empty()) {
-          slot[0] = P::Combine(slot[0], m);
-        } else {
-          slot.push_back(m);
-        }
-      }
-    }
-    return Status::OK();
+    return GroupedBatchCodec::ForEachGroup(
+        payload, kMsgSize,
+        [&](uint32_t dst, uint64_t n, const uint8_t* payloads) -> Status {
+          auto& slot = node.pending[dst];
+          for (uint64_t j = 0; j < n; ++j) {
+            const Message m =
+                PodCodec<Message>::Decode(payloads + j * kMsgSize);
+            if (P::kCombinable && !slot.empty()) {
+              slot[0] = P::Combine(slot[0], m);
+            } else {
+              slot.push_back(m);
+            }
+          }
+          return Status::OK();
+        });
   }
 
   Status HandleApplyBroadcast(GasNode& node, Slice payload) {
@@ -476,19 +477,16 @@ class VPullPath : public MessagePath<P> {
     std::vector<uint8_t> tmp(kMsgSize);
     for (uint32_t y = 0; y < config.num_nodes; ++y) {
       if (partials[y].empty()) continue;
-      std::vector<GroupedBatchCodec::Group> groups;
-      groups.reserve(partials[y].size());
+      GroupedBatchBuilder partial(kMsgSize);
       for (auto& [v, msgs] : partials[y]) {
-        GroupedBatchCodec::Group g;
-        g.dst = v;
+        const uint32_t g = partial.OpenGroup(v);
         for (const Message& msg : msgs) {
           PodCodec<Message>::Encode(msg, tmp.data());
-          g.payloads.push_back(tmp);
+          partial.Add(g, tmp.data());
         }
-        groups.push_back(std::move(g));
       }
       Buffer payload;
-      GroupedBatchCodec::Encode(groups, kMsgSize, &payload);
+      partial.Encode(&payload);
       node.mem_highwater =
           std::max<uint64_t>(node.mem_highwater, payload.size());
       HG_RETURN_IF_ERROR(driver_->transport().Post(

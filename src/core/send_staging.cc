@@ -6,33 +6,29 @@ namespace hybridgraph {
 
 void SendStaging::Init(uint32_t num_dst_nodes, size_t msg_size,
                        CombineRawFn combiner) {
-  msg_size_ = msg_size;
   combiner_ = combiner;
-  records_.resize(num_dst_nodes);
-  index_.resize(num_dst_nodes);
-}
-
-void SendStaging::Append(uint32_t dst, VertexId dst_vertex,
-                         const uint8_t* payload) {
-  records_[dst].emplace_back(
-      dst_vertex, std::vector<uint8_t>(payload, payload + msg_size_));
+  dests_.resize(num_dst_nodes);
+  for (Dest& d : dests_) d.msgs.Init(msg_size);
 }
 
 bool SendStaging::TryCombine(uint32_t dst, VertexId dst_vertex,
                              const uint8_t* payload) {
-  auto [it, inserted] = index_[dst].try_emplace(dst_vertex, records_[dst].size());
+  Dest& d = dests_[dst];
+  auto [it, inserted] = d.index.try_emplace(
+      dst_vertex, static_cast<uint32_t>(d.msgs.size()));
   if (inserted) return false;
-  combiner_(records_[dst][it->second].second.data(), payload);
+  combiner_(d.msgs.payload(it->second), payload);
   return true;
 }
 
 void SendStaging::EncodeBatch(uint32_t dst, Buffer* out) const {
-  FlatBatchCodec::Encode(records_[dst], msg_size_, out);
+  FlatBatchCodec::Encode(dests_[dst].msgs, out);
 }
 
 void SendStaging::Clear(uint32_t dst) {
-  records_[dst].clear();
-  index_[dst].clear();
+  Dest& d = dests_[dst];
+  d.msgs.Clear();
+  if (!d.index.empty()) d.index.clear();
 }
 
 }  // namespace hybridgraph

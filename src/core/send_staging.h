@@ -1,17 +1,18 @@
 // Sender-side staging for push production: per destination node, the
-// unflushed (destination vertex, raw message payload) records plus the
-// sender combining index (pushM+com, Appendix E). Only messages that are
-// still in the unflushed buffer can combine — flushing clears the index,
-// which is exactly why small sending thresholds limit the gain.
+// unflushed (destination vertex, raw message payload) records in one flat
+// MessageArena plus the sender combining index (pushM+com, Appendix E).
+// Only messages that are still in the unflushed buffer can combine —
+// flushing clears the index, which is exactly why small sending thresholds
+// limit the gain.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "graph/types.h"
 #include "util/buffer.h"
+#include "util/message_arena.h"
 
 namespace hybridgraph {
 
@@ -24,9 +25,11 @@ class SendStaging {
   void Init(uint32_t num_dst_nodes, size_t msg_size, CombineRawFn combiner);
 
   /// Unflushed records staged for `dst`.
-  size_t count(uint32_t dst) const { return records_[dst].size(); }
+  size_t count(uint32_t dst) const { return dests_[dst].msgs.size(); }
 
-  void Append(uint32_t dst, VertexId dst_vertex, const uint8_t* payload);
+  void Append(uint32_t dst, VertexId dst_vertex, const uint8_t* payload) {
+    dests_[dst].msgs.Append(dst_vertex, payload);
+  }
 
   /// Sender combining: if an unflushed message for `dst_vertex` exists,
   /// combines `payload` into it and returns true. Otherwise registers the
@@ -35,19 +38,23 @@ class SendStaging {
   /// emplace_back sequence exactly).
   bool TryCombine(uint32_t dst, VertexId dst_vertex, const uint8_t* payload);
 
-  /// FlatBatch-encodes the staged records for `dst` into `out`.
+  /// FlatBatch-encodes the staged records for `dst` into `out`, straight
+  /// from the arena.
   void EncodeBatch(uint32_t dst, Buffer* out) const;
 
-  /// Drops the staged records and the combining index for `dst`.
+  /// Drops the staged records and the combining index for `dst` (the arena
+  /// keeps its capacity for the next batch).
   void Clear(uint32_t dst);
 
  private:
-  size_t msg_size_ = 0;
+  struct Dest {
+    MessageArena msgs{0};
+    /// dst vertex -> position in `msgs` (sender combining only).
+    std::unordered_map<VertexId, uint32_t> index;
+  };
+
   CombineRawFn combiner_ = nullptr;
-  /// Per destination node: (dst vertex, raw payload) in staging order.
-  std::vector<std::vector<std::pair<uint32_t, std::vector<uint8_t>>>> records_;
-  /// Per destination node: dst vertex -> slot in `records_`.
-  std::vector<std::unordered_map<VertexId, size_t>> index_;
+  std::vector<Dest> dests_;
 };
 
 }  // namespace hybridgraph

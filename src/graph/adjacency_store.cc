@@ -78,7 +78,7 @@ Status AdjacencyStore::ReadBlock(uint32_t global_vb,
   out->reserve(r.size());
   for (uint32_t i = 0; i < r.size(); ++i) {
     VertexAdj va;
-    uint64_t count;
+    uint64_t count = 0;
     HG_RETURN_IF_ERROR(dec.GetFixed32(&va.id));
     HG_RETURN_IF_ERROR(dec.GetVarint64(&count));
     va.out.resize(count);

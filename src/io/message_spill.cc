@@ -1,6 +1,7 @@
 #include "io/message_spill.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -11,14 +12,6 @@ namespace hybridgraph {
 namespace {
 
 constexpr size_t kRunHeaderBytes = 8;  // fixed64 entry count
-
-/// Decodes the little-endian destination id at the head of a record. The
-/// caller guarantees at least 4 readable bytes (chunks are record-aligned).
-uint32_t LoadDstLE(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
 
 }  // namespace
 
@@ -32,41 +25,52 @@ std::string MessageSpill::RunKey(size_t i) const {
   return StringFormat("%s/run-%06zu", key_prefix_.c_str(), i);
 }
 
-Status MessageSpill::SpillRun(std::vector<SpillEntry> entries) {
-  if (entries.empty()) return Status::OK();
+Status MessageSpill::SpillRun(const MessageArena& run) {
+  if (run.empty()) return Status::OK();
   HG_FAIL_POINT("spill.flush");
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const SpillEntry& a, const SpillEntry& b) { return a.dst < b.dst; });
+  HG_DCHECK(run.msg_size() == payload_size_)
+      << "payload size mismatch: " << run.msg_size() << " vs " << payload_size_;
+  // Packed (dst, position) keys: one integer sort yields exactly the order a
+  // stable sort by destination would.
+  HG_DCHECK(run.size() <= UINT32_MAX) << "run positions must fit 32 bits";
+  keys_.resize(run.size());
+  for (size_t i = 0; i < run.size(); ++i) {
+    keys_[i] = (static_cast<uint64_t>(run.dst(i)) << 32) | i;
+  }
+  std::sort(keys_.begin(), keys_.end());
+
+  const size_t record_size = 4 + payload_size_;
+  blob_.Clear();
+  blob_.bytes().resize(kRunHeaderBytes + run.size() * record_size);
+  uint8_t* const body = blob_.data() + kRunHeaderBytes;
+  uint64_t written = 0;
   uint64_t combined = 0;
-  if (combiner_ != nullptr) {
-    // Fold equal destinations into the first occurrence, in spill order
-    // (the vector is stably sorted, so the fold order is deterministic).
-    size_t w = 0;
-    for (size_t r = 1; r < entries.size(); ++r) {
-      if (entries[r].dst == entries[w].dst) {
-        combiner_(entries[w].payload.data(), entries[r].payload.data());
+  for (const uint64_t key : keys_) {
+    const uint32_t dst = static_cast<uint32_t>(key >> 32);
+    const uint8_t* payload = run.payload(static_cast<uint32_t>(key));
+    if (combiner_ != nullptr && written > 0) {
+      uint8_t* last = body + (written - 1) * record_size;
+      if (LoadFixed32(last) == dst) {
+        // Fold equal destinations into the first occurrence, in spill order.
+        combiner_(last + 4, payload);
         ++combined;
-      } else {
-        ++w;
-        if (w != r) entries[w] = std::move(entries[r]);
+        continue;
       }
     }
-    entries.resize(w + 1);
+    uint8_t* rec = body + written * record_size;
+    StoreFixed32(rec, dst);
+    std::memcpy(rec + 4, payload, payload_size_);
+    ++written;
   }
-  Buffer buf;
-  Encoder enc(&buf);
-  enc.PutFixed64(entries.size());
-  for (const auto& e : entries) {
-    HG_DCHECK(e.payload.size() == payload_size_)
-        << "payload size mismatch: " << e.payload.size() << " vs " << payload_size_;
-    enc.PutFixed32(e.dst);
-    enc.PutRaw(e.payload.data(), e.payload.size());
-  }
+  blob_.bytes().resize(kRunHeaderBytes + written * record_size);
+  // Header: fixed64 entry count, little-endian.
+  StoreFixed32(blob_.data(), static_cast<uint32_t>(written));
+  StoreFixed32(blob_.data() + 4, static_cast<uint32_t>(written >> 32));
   // Write-then-register: the run only becomes visible (num_runs_) after the
   // blob is durably written. On any failure in between, delete the key so a
   // half-written run is never leaked (Clear() would not know about it).
   const std::string key = RunKey(num_runs_);
-  Status st = storage_->Write(key, buf.AsSlice(), IoClass::kRandWrite);
+  Status st = storage_->Write(key, blob_.AsSlice(), IoClass::kRandWrite);
   // Random write: destination-vertex order has no locality on disk.
   if (st.ok()) st = storage_->Sync(key);
   if (!st.ok()) {
@@ -74,10 +78,21 @@ Status MessageSpill::SpillRun(std::vector<SpillEntry> entries) {
     return st;
   }
   ++num_runs_;
-  num_messages_ += entries.size();
-  bytes_written_ += buf.size();
+  num_messages_ += written;
+  bytes_written_ += blob_.size();
   combined_at_spill_ += combined;
   return Status::OK();
+}
+
+Status MessageSpill::SpillRun(std::vector<SpillEntry> entries) {
+  MessageArena run(payload_size_);
+  for (const SpillEntry& e : entries) {
+    HG_DCHECK(e.payload.size() == payload_size_)
+        << "payload size mismatch: " << e.payload.size() << " vs "
+        << payload_size_;
+    run.Append(e.dst, e.payload.data());
+  }
+  return SpillRun(run);
 }
 
 // ------------------------------------------------------------ MergeIterator
@@ -136,9 +151,11 @@ Status MessageSpill::MergeIterator::Open() {
     rc.file_pos = kRunHeaderBytes;
     if (rc.disk_entries > 0) {
       HG_RETURN_IF_ERROR(Refill(&rc));
-      heap_.emplace(rc.head_dst, i);
+      heap_.push_back((static_cast<uint64_t>(rc.head_dst) << 32) | i);
     }
   }
+  // An ascending array is a valid binary min-heap.
+  std::sort(heap_.begin(), heap_.end());
   return PrimeNext();
 }
 
@@ -161,7 +178,7 @@ Status MessageSpill::MergeIterator::Refill(RunCursor* rc) {
   const uint64_t loaded = want / record_size_;
   rc->disk_entries -= loaded;
   rc->buf_pos = 0;
-  rc->head_dst = LoadDstLE(rc->buf.data());
+  rc->head_dst = LoadFixed32(rc->buf.data());
   rc->has_head = true;
   resident_entries_ += loaded;
   peak_resident_entries_ = std::max(peak_resident_entries_, resident_entries_ + 1);
@@ -181,7 +198,23 @@ void MessageSpill::MergeIterator::ScheduleNextChunk(const RunCursor& rc) {
                                .io_class = IoClass::kSeqRead});
 }
 
-Status MessageSpill::MergeIterator::ConsumeHead(size_t ri) {
+void MessageSpill::MergeIterator::SiftDownTop() {
+  const size_t n = heap_.size();
+  const uint64_t key = heap_[0];
+  size_t i = 0;
+  while (true) {
+    size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+    if (heap_[child] >= key) break;
+    heap_[i] = heap_[child];
+    i = child;
+  }
+  heap_[i] = key;
+}
+
+Status MessageSpill::MergeIterator::ConsumeTop() {
+  const size_t ri = static_cast<uint32_t>(heap_[0]);
   RunCursor& rc = runs_[ri];
   rc.buf_pos += record_size_;
   ++entries_read_;
@@ -191,13 +224,17 @@ Status MessageSpill::MergeIterator::ConsumeHead(size_t ri) {
       rc.has_head = false;
       rc.buf.clear();
       rc.buf.shrink_to_fit();
+      heap_[0] = heap_.back();
+      heap_.pop_back();
+      if (!heap_.empty()) SiftDownTop();
       return Status::OK();
     }
     HG_RETURN_IF_ERROR(Refill(&rc));
   } else {
-    rc.head_dst = LoadDstLE(rc.buf.data() + rc.buf_pos);
+    rc.head_dst = LoadFixed32(rc.buf.data() + rc.buf_pos);
   }
-  heap_.emplace(rc.head_dst, ri);
+  heap_[0] = (static_cast<uint64_t>(rc.head_dst) << 32) | ri;
+  SiftDownTop();
   return Status::OK();
 }
 
@@ -206,24 +243,21 @@ Status MessageSpill::MergeIterator::PrimeNext() {
     valid_ = false;
     return Status::OK();
   }
-  const auto [dst, ri] = heap_.top();
-  heap_.pop();
-  RunCursor& rc = runs_[ri];
-  current_.dst = dst;
-  current_.payload.assign(rc.buf.data() + rc.buf_pos + 4,
-                          rc.buf.data() + rc.buf_pos + record_size_);
-  HG_RETURN_IF_ERROR(ConsumeHead(ri));
+  const RunCursor& top = runs_[static_cast<uint32_t>(heap_[0])];
+  const uint8_t* rec = top.buf.data() + top.buf_pos;
+  current_.dst = static_cast<uint32_t>(heap_[0] >> 32);
+  current_.payload.assign(rec + 4, rec + record_size_);
+  HG_RETURN_IF_ERROR(ConsumeTop());
   if (combiner_ != nullptr) {
     // Fold every remaining entry for this destination into the current one.
-    // The heap always surfaces the minimal (dst, run) pair, so the fold
+    // The heap always surfaces the minimal (dst, run) key, so the fold
     // order — run by run, spill order within a run — is deterministic.
-    while (!heap_.empty() && heap_.top().first == current_.dst) {
-      const size_t rj = heap_.top().second;
-      heap_.pop();
-      RunCursor& rc2 = runs_[rj];
-      combiner_(current_.payload.data(), rc2.buf.data() + rc2.buf_pos + 4);
+    while (!heap_.empty() &&
+           static_cast<uint32_t>(heap_[0] >> 32) == current_.dst) {
+      const RunCursor& rc = runs_[static_cast<uint32_t>(heap_[0])];
+      combiner_(current_.payload.data(), rc.buf.data() + rc.buf_pos + 4);
       ++merge_combined_;
-      HG_RETURN_IF_ERROR(ConsumeHead(rj));
+      HG_RETURN_IF_ERROR(ConsumeTop());
     }
   }
   ++entries_emitted_;

@@ -25,18 +25,22 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "io/prefetch.h"
 #include "io/storage.h"
+#include "util/buffer.h"
 #include "util/codec.h"
+#include "util/message_arena.h"
 #include "util/status.h"
 
 namespace hybridgraph {
 
-/// One spilled message: destination vertex + opaque fixed-size payload.
+/// One spilled message: destination vertex + opaque fixed-size payload. The
+/// engine spills from a MessageArena and reads the merge through one reused
+/// entry; building these per message is the adapter API for checkpoints,
+/// tests and benchmarks.
 struct SpillEntry {
   uint32_t dst;
   std::vector<uint8_t> payload;
@@ -65,10 +69,17 @@ class MessageSpill {
   /// SpillRun of a batch for runs to shrink on disk.
   void set_combiner(CombineFn fn) { combiner_ = fn; }
 
-  /// Sorts `entries` by destination (combining equal destinations when a
-  /// combiner is armed) and writes them as one run. Cleanup-safe: if the
-  /// write or sync fails, the partially written run blob is deleted before
-  /// the error is returned, so no orphaned `<prefix>/run-*` key survives.
+  /// Sorts `run` by destination, ties in arena order (combining equal
+  /// destinations into their first occurrence when a combiner is armed),
+  /// and writes it as one run; `run` itself is left unchanged. The sort key
+  /// is the packed (dst << 32 | position), so the order is exactly a stable
+  /// sort by destination. Cleanup-safe: if the write or sync fails, the
+  /// partially written run blob is deleted before the error is returned, so
+  /// no orphaned `<prefix>/run-*` key survives. Steady state allocates only
+  /// inside storage: the key and encode buffers are reused across runs.
+  Status SpillRun(const MessageArena& run);
+
+  /// Adapter: the same run from per-message entries (byte-identical blob).
   Status SpillRun(std::vector<SpillEntry> entries);
 
   /// Number of runs written so far.
@@ -135,9 +146,12 @@ class MessageSpill {
     /// the chunk after the one just loaded reads in the background while the
     /// merge consumes the current one — per-run double buffering.
     void ScheduleNextChunk(const RunCursor& rc);
-    /// Consumes the head record of run `ri` (refilling as needed) and
-    /// re-inserts the run's next head into the heap.
-    Status ConsumeHead(size_t ri);
+    /// Consumes the head record of the run at the heap top (refilling as
+    /// needed): the run's next head replaces the top, or the run leaves the
+    /// heap when exhausted.
+    Status ConsumeTop();
+    /// Restores the heap order below the top after its key grew.
+    void SiftDownTop();
     /// Loads the next merged entry into current_.
     Status PrimeNext();
 
@@ -150,12 +164,13 @@ class MessageSpill {
     uint64_t buffer_bytes_ = 0;
 
     std::vector<RunCursor> runs_;
-    // Min-heap on (dst, run index): the pair's lexicographic order IS the
-    // determinism guarantee — equal destinations always drain in run order.
-    std::priority_queue<std::pair<uint32_t, size_t>,
-                        std::vector<std::pair<uint32_t, size_t>>,
-                        std::greater<>>
-        heap_;
+    // Binary min-heap of packed (dst << 32 | run index) keys. Their order is
+    // the (dst, run) lexicographic order, which IS the determinism
+    // guarantee — equal destinations always drain in run order. A run has
+    // at most one key in the heap, so keys are unique and the pop sequence
+    // does not depend on heap internals: consuming a head replaces the top
+    // key in place (one sift-down) instead of a pop plus a push.
+    std::vector<uint64_t> heap_;
 
     SpillEntry current_;
     bool valid_ = false;
@@ -204,6 +219,9 @@ class MessageSpill {
   uint64_t num_messages_ = 0;
   uint64_t bytes_written_ = 0;
   uint64_t combined_at_spill_ = 0;
+  // SpillRun scratch, reused across runs: sort keys and the encoded blob.
+  std::vector<uint64_t> keys_;
+  Buffer blob_;
 };
 
 }  // namespace hybridgraph

@@ -13,7 +13,7 @@ void FrameHeader::EncodeTo(Encoder* enc) const {
 }
 
 Status FrameHeader::DecodeFrom(Decoder* dec, FrameHeader* out) {
-  uint16_t method;
+  uint16_t method = 0;
   HG_RETURN_IF_ERROR(dec->GetFixed32(&out->src));
   HG_RETURN_IF_ERROR(dec->GetFixed32(&out->dst));
   HG_RETURN_IF_ERROR(dec->GetFixed16(&method));

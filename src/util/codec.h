@@ -120,7 +120,7 @@ class Decoder {
   }
 
   Status GetSignedVarint64(int64_t* v) {
-    uint64_t enc;
+    uint64_t enc = 0;
     HG_RETURN_IF_ERROR(GetVarint64(&enc));
     *v = static_cast<int64_t>((enc >> 1) ^ (~(enc & 1) + 1));
     return Status::OK();
@@ -181,6 +181,34 @@ class Decoder {
   Slice input_;
   size_t pos_;
 };
+
+/// Stores `v` little-endian at `p` (the Encoder's fixed32 byte order), for
+/// encoders that write records straight into a pre-sized buffer.
+inline void StoreFixed32(uint8_t* p, uint32_t v) {
+  p[0] = static_cast<uint8_t>(v);
+  p[1] = static_cast<uint8_t>(v >> 8);
+  p[2] = static_cast<uint8_t>(v >> 16);
+  p[3] = static_cast<uint8_t>(v >> 24);
+}
+
+/// Loads the little-endian fixed32 at `p`; the caller guarantees 4 bytes.
+inline uint32_t LoadFixed32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
+
+/// Writes the LEB128 varint of `v` at `p` (room for VarintLength(v) bytes)
+/// and returns the bytes written.
+inline size_t StoreVarint64(uint8_t* p, uint64_t v) {
+  size_t n = 0;
+  while (v >= 0x80) {
+    p[n++] = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  p[n++] = static_cast<uint8_t>(v);
+  return n;
+}
 
 /// Bytes a varint encoding of `v` occupies.
 inline size_t VarintLength(uint64_t v) {

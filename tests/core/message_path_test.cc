@@ -355,6 +355,65 @@ TEST(WireBounds, PullAdvertOutOfRangeOrTrailingIsCorruption) {
   }
 }
 
+// A push batch naming a vertex the receiving node does not own must fail the
+// drain as Corruption before the id becomes a local index: below the range
+// the index underflows (pushM would read moc_cached out of bounds, push
+// would later write the pending slot out of bounds), above it overruns.
+TEST(WireBounds, PushBatchDestinationOutOfRangeIsCorruption) {
+  const auto g = TestGraph();
+  for (const EngineMode mode : {EngineMode::kPush, EngineMode::kPushM}) {
+    for (const bool below : {true, false}) {
+      auto rig = MakeRig(BaseConfig(mode, 1), PageRankProgram{});
+      ASSERT_TRUE(rig.driver->Load(g).ok()) << EngineModeName(mode);
+      // Node 1's range starts above vertex 0; node 0's ends below UINT32_MAX.
+      const NodeId receiver = below ? 1 : 0;
+      const uint32_t dst = below ? 0 : UINT32_MAX;
+      Buffer batch;
+      Encoder enc(&batch);
+      enc.PutVarint64(1);
+      enc.PutFixed32(dst);
+      enc.PutDouble(1.0);  // one PageRank message
+      ASSERT_TRUE(rig.driver->transport()
+                      .Post(2, receiver, RpcMethod::kPushMessages,
+                            batch.AsSlice())
+                      .ok());
+      const Status st = rig.driver->RunSuperstep();
+      EXPECT_EQ(st.code(), StatusCode::kCorruption)
+          << EngineModeName(mode) << " dst=" << dst << ": " << st.ToString();
+    }
+  }
+}
+
+// A Pull-Respond answer naming a vertex outside the requester's range must
+// fail the requester's Phase A as Corruption before it indexes the pending
+// set, in both the per-Vblock and the deduped request form.
+TEST(WireBounds, PullResponseDestinationOutOfRangeIsCorruption) {
+  const auto g = TestGraph();
+  for (const bool dedup : {false, true}) {
+    JobConfig cfg = BaseConfig(EngineMode::kBPull, 1);
+    cfg.request_respond_dedup = dedup;
+    auto rig = MakeRig(cfg, SsspProgram{});
+    ASSERT_TRUE(rig.driver->Load(g).ok());
+    // Node 0 answers every pull with one group for a vertex no node owns.
+    rig.driver->transport().RegisterHandler(
+        0, RpcMethod::kPullRequest, [](NodeId, Slice, Buffer* response) {
+          Encoder enc(response);
+          enc.PutVarint64(1);           // groups
+          enc.PutFixed32(UINT32_MAX);   // dst
+          enc.PutVarint64(1);           // payloads
+          const std::vector<uint8_t> payload(SsspProgram::kMessageSize, 0);
+          enc.PutRaw(payload.data(), payload.size());
+          return Status::OK();
+        });
+    Status st;
+    for (int step = 0; step < 3 && st.ok(); ++step) {
+      st = rig.driver->RunSuperstep();
+    }
+    EXPECT_EQ(st.code(), StatusCode::kCorruption)
+        << "dedup=" << dedup << ": " << st.ToString();
+  }
+}
+
 // ------------------------------------------------------------- trace spans
 
 std::string ReadFileOrEmpty(const std::string& path) {

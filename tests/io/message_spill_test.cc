@@ -131,7 +131,9 @@ TEST_P(SpillFuzzTest, RandomRunsMergeSorted) {
   ASSERT_EQ(out.size(), total);
   std::vector<uint64_t> seen(64, 0);
   for (size_t i = 0; i < out.size(); ++i) {
-    if (i > 0) ASSERT_LE(out[i - 1].dst, out[i].dst);
+    if (i > 0) {
+      ASSERT_LE(out[i - 1].dst, out[i].dst);
+    }
     ASSERT_EQ(PayloadValue(out[i].payload), out[i].dst * 1000);
     ++seen[out[i].dst];
   }

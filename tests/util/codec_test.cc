@@ -16,10 +16,10 @@ TEST(Codec, FixedWidthRoundTrip) {
   enc.PutFixed64(0x0123456789ABCDEFULL);
 
   Decoder dec(buf.AsSlice());
-  uint8_t u8;
-  uint16_t u16;
-  uint32_t u32;
-  uint64_t u64;
+  uint8_t u8 = 0;
+  uint16_t u16 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
   ASSERT_TRUE(dec.GetU8(&u8).ok());
   ASSERT_TRUE(dec.GetFixed16(&u16).ok());
   ASSERT_TRUE(dec.GetFixed32(&u32).ok());
@@ -64,7 +64,7 @@ TEST(Codec, SignedVarintRoundTrip) {
     Encoder enc(&buf);
     enc.PutSignedVarint64(v);
     Decoder dec(buf.AsSlice());
-    int64_t out;
+    int64_t out = 0;
     ASSERT_TRUE(dec.GetSignedVarint64(&out).ok()) << v;
     EXPECT_EQ(out, v);
   }
