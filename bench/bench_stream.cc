@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/epoch_driver.h"
+#include "hybridgraph/any_engine.h"
 
 using namespace hybridgraph;
 using namespace hybridgraph::bench;
@@ -37,6 +37,9 @@ JobConfig StreamConfig() {
   return cfg;
 }
 
+constexpr AlgoSpec kStreamAlgo{.kind = AlgoKind::kPageRankDelta,
+                               .tolerance = kTolerance};
+
 struct Row {
   std::string dataset;
   uint32_t batch_size = 0;
@@ -54,10 +57,10 @@ struct Row {
 /// Build/load I/O is excluded on both sides — the comparison is "reconverge
 /// an already-loaded graph" vs "recompute it cold".
 bool MeasureCold(const EdgeListGraph& graph, Row* row) {
-  auto engine = MakeEpochEngine(StreamConfig(), EpochAlgoSpec{}).ValueOrDie();
+  auto engine = MakeEngine(StreamConfig(), kStreamAlgo).ValueOrDie();
   if (!engine->Load(graph).ok()) return false;
   const auto t0 = std::chrono::steady_clock::now();
-  if (!engine->RunInitial().ok()) return false;
+  if (!engine->Run().ok()) return false;
   const auto t1 = std::chrono::steady_clock::now();
   row->cold_io_bytes = engine->stats().TotalIoBytes();
   row->cold_wall_s = std::chrono::duration<double>(t1 - t0).count();
@@ -72,9 +75,9 @@ bool MeasureStream(const DatasetSpec& spec, uint32_t batch_size,
   row.dataset = spec.name;
   row.batch_size = batch_size;
 
-  auto engine = MakeEpochEngine(StreamConfig(), EpochAlgoSpec{}).ValueOrDie();
+  auto engine = MakeEngine(StreamConfig(), kStreamAlgo).ValueOrDie();
   if (!engine->Load(graph).ok()) return false;
-  if (!engine->RunInitial().ok()) return false;
+  if (!engine->Run().ok()) return false;
 
   EdgeStreamOptions so;
   so.num_batches = kEpochsPerSize;

@@ -1,8 +1,8 @@
 #!/bin/sh
-# Single-entry CI gate: plain build + full test suite, then both sanitizer
-# sweeps. Everything a change must pass before it merges.
+# Single-entry CI gate: plain build + full test suite, then the three
+# sanitizer sweeps. Everything a change must pass before it merges.
 #
-#   scripts/ci.sh            # uses build/, build-asan/, build-tsan/
+#   scripts/ci.sh            # uses build/, build-asan/, build-tsan/, build-ubsan/
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -41,6 +41,14 @@ echo "==> graphhp cross-thread determinism (diff_metrics.py)"
     --threads 8 --csv build/ghp_t8.csv >/dev/null
 python3 scripts/diff_metrics.py build/ghp_t1.csv build/ghp_t8.csv
 
+# The streaming server end to end through the one engine front-end and the
+# mode table's streamable column (canonical names, incl. pushM).
+echo "==> hg_serve self-driven stream smoke (graphhp, pushM)"
+for mode in graphhp pushM; do
+  ./build/tools/hg_serve --graph dataset:livej --algo sssp --mode "$mode" \
+      --stream 8 >/dev/null
+done
+
 # B_i = 2000 spills most of each superstep's messages: staging, push apply,
 # spill runs and the spill merge all run, on per-node state only.
 echo "==> push-spill cross-thread determinism (diff_metrics.py)"
@@ -74,4 +82,7 @@ sh scripts/check_asan.sh build-asan
 echo "==> ThreadSanitizer sweep"
 sh scripts/check_tsan.sh build-tsan
 
-echo "CI gate passed: build, tests, ASan and TSan all clean"
+echo "==> UndefinedBehaviorSanitizer sweep"
+sh scripts/check_ubsan.sh build-ubsan
+
+echo "CI gate passed: build, tests, ASan, TSan and UBSan all clean"

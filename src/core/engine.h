@@ -1,5 +1,6 @@
-// The HybridGraph BSP engine: push, pushM, b-pull and hybrid execution of a
-// vertex Program over a simulated cluster of disk-resident nodes.
+// The HybridGraph BSP engine: push, pushM, v-pull, b-pull, hybrid, adaptive
+// and GraphHP execution of a vertex Program over a simulated cluster of
+// disk-resident nodes.
 //
 // Execution model per superstep t (uniform across modes):
 //   Phase A (consume)  — every node collects the messages addressed to its
@@ -22,13 +23,18 @@
 // push -> b-pull switch superstep consumes pushed messages and produces
 // nothing, exactly as in Fig 6.
 //
+// v-pull is the GraphLab PowerGraph baseline (synchronous GAS over a
+// vertex-cut, with the paper's Sec 6 disk-resident edges and LRU vertex
+// table); its path lives in core/paths/vpull_path.h.
+//
 // This header is a facade: the BSP loop, barriers, accounting and hybrid
 // switching live in SuperstepDriver (core/superstep_driver.h); the
 // per-mode load/update/pushRes/pullRes behavior lives in the MessagePath
-// strategies under core/paths/. Engine<P> wires the block-centric paths
-// (push or pushM, plus b-pull) into one driver and forwards its public API.
+// strategies under core/paths/. Engine<P> installs the paths its mode's row
+// of kModePaths names into one driver and forwards its public API.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -39,6 +45,7 @@
 #include "core/paths/ghp_path.h"
 #include "core/paths/push_m_path.h"
 #include "core/paths/push_path.h"
+#include "core/paths/vpull_path.h"
 #include "core/program.h"
 #include "core/run_metrics.h"
 #include "core/superstep_driver.h"
@@ -49,6 +56,34 @@
 
 namespace hybridgraph {
 
+/// Which MessagePaths one mode installs (bit set), and which of those are
+/// active. Active paths Build() their disk layout at Load time and may
+/// produce; an installed but inactive path only occupies its registry slot,
+/// so consumption can still dispatch to it by mode. Under adaptive the
+/// per-cell path both produces and serves pulls, so push and b-pull stay
+/// installed but inactive (their drain machinery is invoked through the
+/// adaptive path, not their registry slots).
+struct ModePaths {
+  enum : uint8_t { kPush = 1, kBPull = 2, kAdaptive = 4, kGhp = 8, kVPull = 16 };
+  uint8_t installed;
+  uint8_t active;
+};
+
+/// Indexed by EngineMode. kPush is PushMPath under pushM; hybrid's
+/// three-regime table (hybrid_regime_graphhp) adds an active GraphHP path.
+inline constexpr ModePaths kModePaths[kNumEngineModes] = {
+    /* push     */ {ModePaths::kPush | ModePaths::kBPull, ModePaths::kPush},
+    /* pushM    */ {ModePaths::kPush | ModePaths::kBPull, ModePaths::kPush},
+    /* v-pull   */ {ModePaths::kVPull, ModePaths::kVPull},
+    /* b-pull   */ {ModePaths::kPush | ModePaths::kBPull, ModePaths::kBPull},
+    /* hybrid   */ {ModePaths::kPush | ModePaths::kBPull,
+                    ModePaths::kPush | ModePaths::kBPull},
+    /* adaptive */ {ModePaths::kPush | ModePaths::kBPull | ModePaths::kAdaptive,
+                    ModePaths::kAdaptive},
+    /* graphhp  */ {ModePaths::kPush | ModePaths::kBPull | ModePaths::kGhp,
+                    ModePaths::kGhp},
+};
+
 template <typename P>
 class Engine {
  public:
@@ -56,41 +91,23 @@ class Engine {
   using Message = typename P::Message;
 
   Engine(JobConfig config, P program)
-      : driver_(std::move(config), std::move(program), /*gas_engine=*/false) {
+      : driver_(std::move(config), std::move(program)) {
     StaticCheckProgram<P>();
     const EngineMode mode = driver_.config().mode;
+    ModePaths row = kModePaths[static_cast<size_t>(mode)];
+    if (mode == EngineMode::kHybrid && driver_.config().hybrid_regime_graphhp) {
+      row.installed |= ModePaths::kGhp;
+      row.active |= ModePaths::kGhp;
+    }
     if (mode == EngineMode::kPushM) {
-      push_ = std::make_unique<PushMPath<P>>(&driver_);
+      Install<PushMPath<P>>(row, ModePaths::kPush, &push_);
     } else {
-      push_ = std::make_unique<PushPath<P>>(&driver_);
+      Install<PushPath<P>>(row, ModePaths::kPush, &push_);
     }
-    bpull_ = std::make_unique<BPullPath<P>>(&driver_);
-    if (mode == EngineMode::kAdaptive) {
-      adaptive_ = std::make_unique<AdaptivePath<P>>(&driver_);
-    }
-    if (mode == EngineMode::kGraphHp ||
-        (mode == EngineMode::kHybrid &&
-         driver_.config().hybrid_regime_graphhp)) {
-      ghp_ = std::make_unique<GhpPath<P>>(&driver_);
-    }
-    // Only active paths build their disk layout; the registry still knows
-    // every installed path so consumption can dispatch by mode. Under
-    // adaptive the per-cell path both produces and serves pulls, so push
-    // and b-pull stay installed but inactive (their drain machinery is
-    // invoked through the adaptive path, not their registry slots).
-    driver_.InstallPath(push_.get(),
-                        /*active=*/mode != EngineMode::kBPull &&
-                            mode != EngineMode::kAdaptive &&
-                            mode != EngineMode::kGraphHp);
-    driver_.InstallPath(bpull_.get(),
-                        /*active=*/mode == EngineMode::kBPull ||
-                            mode == EngineMode::kHybrid);
-    if (adaptive_ != nullptr) {
-      driver_.InstallPath(adaptive_.get(), /*active=*/true);
-    }
-    if (ghp_ != nullptr) {
-      driver_.InstallPath(ghp_.get(), /*active=*/true);
-    }
+    Install<BPullPath<P>>(row, ModePaths::kBPull, &bpull_);
+    Install<AdaptivePath<P>>(row, ModePaths::kAdaptive, &adaptive_);
+    Install<GhpPath<P>>(row, ModePaths::kGhp, &ghp_);
+    Install<VPullPath<P>>(row, ModePaths::kVPull, &vpull_);
   }
 
   /// Partitions the graph, derives Vblock counts (Eq. 5/6), builds the
@@ -112,7 +129,11 @@ class Engine {
   EngineMode current_mode() const { return driver_.current_mode(); }
 
   /// Collects all vertex values (global, indexed by vertex id).
-  Result<std::vector<Value>> GatherValues() { return driver_.GatherValues(); }
+  Result<std::vector<Value>> GatherValues() {
+    if (vpull_ == nullptr) return driver_.GatherValues();
+    if (!driver_.loaded()) return Status::FailedPrecondition("Load() first");
+    return vpull_->GatherValues();
+  }
 
   /// Theorem 2 quantities (valid after Load()).
   uint64_t total_fragments() const { return driver_.total_fragments(); }
@@ -121,7 +142,8 @@ class Engine {
   /// Serializes the full runtime state (superstep, mode, vertex values,
   /// flags, undelivered messages) so a failed job can resume from the last
   /// barrier instead of recomputing from scratch (the lightweight
-  /// fault-tolerance the paper leaves as future work, Appendix A).
+  /// fault-tolerance the paper leaves as future work, Appendix A). Not
+  /// supported under v-pull.
   Status WriteCheckpoint(Buffer* out) { return driver_.WriteCheckpoint(out); }
 
   /// Restores a WriteCheckpoint() image into a freshly Load()ed engine with
@@ -130,25 +152,27 @@ class Engine {
     return driver_.RestoreCheckpoint(data);
   }
 
-  /// The underlying driver — the streaming epoch services (ApplyEdgeBatch,
-  /// StartEpoch, ...) live there; see core/epoch_driver.h for the policy
-  /// wrapper that uses them.
+  /// The underlying driver (program access, the streaming epoch hook; see
+  /// core/epoch_driver.h).
   SuperstepDriver<P>& driver() { return driver_; }
 
-  /// The adaptive path's accumulated per-cell decision log (empty unless
-  /// config.mode == kAdaptive) — the golden-test surface.
-  const std::string& adaptive_decision_log() const {
-    static const std::string kEmpty;
-    return adaptive_ ? adaptive_->decision_log() : kEmpty;
+ private:
+  /// Builds the `slot` path into `*out` and registers it, if `row` installs
+  /// it.
+  template <typename Path, typename Base>
+  void Install(const ModePaths& row, uint8_t slot, std::unique_ptr<Base>* out) {
+    if ((row.installed & slot) == 0) return;
+    *out = std::make_unique<Path>(&driver_);
+    driver_.InstallPath(out->get(), (row.active & slot) != 0);
   }
 
- private:
   SuperstepDriver<P> driver_;
+  // The paths kModePaths installs for config.mode; the rest stay null.
   std::unique_ptr<PushPath<P>> push_;  // PushMPath under config.mode == pushM
   std::unique_ptr<BPullPath<P>> bpull_;
-  std::unique_ptr<AdaptivePath<P>> adaptive_;  // config.mode == kAdaptive only
-  // config.mode == kGraphHp, or kHybrid with the three-regime table enabled.
+  std::unique_ptr<AdaptivePath<P>> adaptive_;
   std::unique_ptr<GhpPath<P>> ghp_;
+  std::unique_ptr<VPullPath<P>> vpull_;
 };
 
 }  // namespace hybridgraph

@@ -53,12 +53,23 @@ Status WriteEngineCheckpoint(std::vector<NodeState>& nodes,
         Slice(node.responding.data(), node.responding.size()));
     enc.PutLengthPrefixed(
         Slice(node.vblock_res.data(), node.vblock_res.size()));
-    // Undelivered inbox (memory part + spilled runs).
+    // Undelivered messages: the inbox (memory part + spilled runs), plus
+    // pushM's online accumulators, which hold the folded messages for cached
+    // vertices across the barrier. Each set accumulator slot is written as
+    // one ordinary inbox record (its combined payload), so the restored run
+    // delivers the same combined message through the inbox.
     std::vector<SpillEntry> spilled;
     if (node.inbox_cur.spill()->num_runs() > 0) {
       HG_RETURN_IF_ERROR(node.inbox_cur.spill()->MergeReadAll(&spilled));
     }
-    enc.PutVarint64(node.inbox_cur.count() + spilled.size());
+    std::vector<uint32_t> moc_slots;
+    if (!node.moc_acc.empty()) {
+      for (uint32_t li = 0; li < node.moc_has.size(); ++li) {
+        if (node.moc_has[li]) moc_slots.push_back(li);
+      }
+    }
+    enc.PutVarint64(node.inbox_cur.count() + spilled.size() +
+                    moc_slots.size());
     for (size_t i = 0; i < node.inbox_cur.count(); ++i) {
       enc.PutFixed32(node.inbox_cur.dst(i));
       enc.PutRaw(node.inbox_cur.payload(i), msg_size);
@@ -66,6 +77,11 @@ Status WriteEngineCheckpoint(std::vector<NodeState>& nodes,
     for (const auto& e : spilled) {
       enc.PutFixed32(e.dst);
       enc.PutRaw(e.payload.data(), msg_size);
+    }
+    for (uint32_t li : moc_slots) {
+      enc.PutFixed32(node.range.begin + li);
+      enc.PutRaw(node.moc_acc.data() + static_cast<size_t>(li) * msg_size,
+                 msg_size);
     }
   }
   enc.PutFixed64(
@@ -150,6 +166,8 @@ Status RestoreEngineCheckpoint(std::vector<NodeState>& nodes,
     // orphans a mid-spill crash left behind); Clear() deletes by prefix.
     node.inbox_next.ClearMem();
     HG_RETURN_IF_ERROR(node.inbox_next.spill()->Clear());
+    // pushM accumulators come back as inbox records (see the writer).
+    std::fill(node.moc_has.begin(), node.moc_has.end(), 0);
     uint64_t count = 0;
     HG_RETURN_IF_ERROR(dec.GetVarint64(&count));
     const bool unlimited =

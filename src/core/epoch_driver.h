@@ -10,7 +10,8 @@
 // batch run over the mutated graph — exactly for the monotone traversal
 // programs, within the aggregator tolerance band for PageRankDelta.
 //
-// Per-program reconvergence policy:
+// Per-program reconvergence policy (the EpochPolicy column of the algorithm
+// registry, hybridgraph/any_engine.cc):
 //   PageRankDelta — warm restart, seed all (rank mass shifts globally, but
 //     reconvergence from the previous fixpoint needs few supersteps for
 //     small batches — that is the delta-propagation saving).
@@ -20,21 +21,23 @@
 //     monotone argument, so the epoch reinitializes values and recomputes
 //     from scratch, still over the mutated (delta-run) stores.
 //
-// EpochEngine<P> wires the policy over Engine<P>; AnyEpochEngine is the
-// type-erased surface the query server (serve/) and tools drive, created by
-// MakeEpochEngine from an algorithm name.
+// The services below are compiled once, over the driver's per-node state;
+// the typed driver contributes only its epoch-start hook and its Run() loop
+// (EpochTarget). AnyEngine::RunEpoch is the public entry point.
 #pragma once
 
-#include <chrono>
-#include <memory>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "core/engine.h"
-#include "core/job_config.h"
+#include "core/engine_setup.h"
+#include "core/node_state.h"
 #include "core/run_metrics.h"
 #include "graph/edge_delta.h"
-#include "graph/edge_list.h"
+#include "graph/partition.h"
+#include "net/transport.h"
 #include "util/status.h"
 
 namespace hybridgraph {
@@ -46,156 +49,80 @@ std::string EpochMetricsCsvRow(const EpochMetrics& m);
 /// A JSON array of epoch objects (pretty enough for committed baselines).
 std::string EpochMetricsJson(const std::vector<EpochMetrics>& all);
 
-/// \brief Type-erased epoch engine: Load + cold initial run, then one
-/// RunEpoch per batch. Values surface as double for the query layer.
-class AnyEpochEngine {
- public:
-  virtual ~AnyEpochEngine() = default;
-
-  virtual Status Load(const EdgeListGraph& graph) = 0;
-  /// The cold initial convergence (epoch -1, before any batch).
-  virtual Status RunInitial() = 0;
-  /// Ingests `batch` and reconverges; fills `m` (optional).
-  virtual Status RunEpoch(const EdgeBatch& batch, EpochMetrics* m) = 0;
-  /// All vertex values after the last convergence, widened to double.
-  virtual Result<std::vector<double>> Values() = 0;
-  /// Folds overlay delta runs (>= min_runs per cell) into base blocks.
-  virtual Status CompactAll(uint64_t min_runs) = 0;
-
-  virtual const JobStats& stats() const = 0;
-  virtual uint64_t num_vertices() const = 0;
-  virtual bool converged() const = 0;
-  /// Epochs run so far (RunInitial not counted).
-  virtual uint64_t epochs_run() const = 0;
+/// How an algorithm reconverges after an ingested batch.
+enum class EpochPolicy : int {
+  kNone = 0,         ///< no streaming support
+  kSeedAll,          ///< warm restart, whole graph active (PageRankDelta)
+  kMonotoneInserts,  ///< warm + seed endpoints if insert-only, else reinit
 };
 
-/// \brief Algorithm selector for MakeEpochEngine.
-struct EpochAlgoSpec {
-  std::string name = "pagerank-delta";  ///< pagerank-delta | sssp | bfs | wcc
-  VertexId source = 0;                  ///< sssp / bfs
-  double tolerance = 1e-9;              ///< pagerank-delta halt tolerance
-  double damping = 0.85;                ///< pagerank-delta
+// ------------------------------------------------------------ epoch services
+//
+// All of them run on the driver thread between converged runs and use only
+// metered store operations, so modeled metrics stay bit-identical across
+// thread counts. Each refreshes the part of `census` the next initial-mode
+// decision reads.
+
+/// Applies one edge batch to the mutable stores of every owning node: the
+/// VE-BLOCK overlay gains delta runs (in-degree metadata routed to the
+/// destination owners), adjacency blocks are rewritten, and out-degrees are
+/// patched in memory plus refreshed in the touched on-disk Vblock records
+/// (pull serves decode the degree from those records). `touched` (optional)
+/// receives the batch's endpoint set for frontier seeding; the census gets
+/// the new fragment total when VE-BLOCKs are built. `nodes` must be loaded.
+Status ApplyEdgeBatch(const EdgeBatch& batch, const RangePartition& partition,
+                      std::vector<NodeState>* nodes,
+                      std::vector<VertexId>* touched,
+                      BlockTopologyCensus* census);
+
+/// Clears every active flag, then activates exactly `touched`.
+void SeedEpochActives(const std::vector<VertexId>& touched,
+                      const RangePartition& partition,
+                      std::vector<NodeState>* nodes,
+                      BlockTopologyCensus* census);
+
+/// Activates every vertex: Always-Active programs reconverge from the whole
+/// graph on a warm restart (superstep 0 re-announces all values).
+void SeedAllActives(std::vector<NodeState>* nodes, BlockTopologyCensus* census);
+
+/// Cold restart inside the loaded engine: rewrites every Vblock to
+/// `hooks.init_value` and re-seeds `hooks.init_active` (records are
+/// `value_size` bytes). Used when a batch deleted edges and the program is
+/// monotone — the converged values are no longer a valid starting point, so
+/// the epoch recomputes from scratch (still over the mutated stores).
+Status ReinitEpochState(const RangePartition& partition,
+                        const BlockTopologyHooks& hooks, size_t value_size,
+                        std::vector<NodeState>* nodes,
+                        BlockTopologyCensus* census);
+
+/// The per-node part of an epoch start: no leftover messages, flags,
+/// accumulators or staged frames. Active flags and values are untouched.
+Status ResetEpochNodes(std::vector<NodeState>* nodes);
+
+/// Folds every node's overlay delta runs (>= min_runs per cell) into base
+/// blocks.
+Status CompactOverlays(std::vector<NodeState>* nodes, uint64_t min_runs);
+
+/// What RunEpoch needs from a loaded block-centric engine: its per-node
+/// state and census, the topology build's init callbacks, its meters, and
+/// the two calls that stay typed — the driver's epoch-start hook and its
+/// Run() loop.
+struct EpochTarget {
+  const RangePartition* partition = nullptr;
+  std::vector<NodeState>* nodes = nullptr;
+  BlockTopologyCensus* census = nullptr;
+  const BlockTopologyHooks* hooks = nullptr;
+  size_t value_size = 0;
+  Transport* transport = nullptr;
+  const JobStats* stats = nullptr;
+  std::function<Status(bool warm)> start_epoch;
+  std::function<Status()> run;
 };
 
-/// Builds the epoch engine for `spec` over `config`. Streaming requires the
-/// block-centric engine: config.mode must be push, pushM, b-pull or hybrid.
-Result<std::unique_ptr<AnyEpochEngine>> MakeEpochEngine(const JobConfig& config,
-                                                        const EpochAlgoSpec& spec);
-
-/// \brief The policy wrapper: Engine<P> + per-program epoch policy.
-template <typename P>
-class EpochEngine : public AnyEpochEngine {
- public:
-  /// How an epoch reconverges after ingest.
-  enum class Policy {
-    kSeedAll,          ///< warm restart, whole graph active (PageRankDelta)
-    kMonotoneInserts,  ///< warm + seed endpoints if insert-only, else reinit
-  };
-
-  EpochEngine(JobConfig config, P program, Policy policy)
-      : engine_(std::move(config), std::move(program)), policy_(policy) {}
-
-  Status Load(const EdgeListGraph& graph) override {
-    return engine_.Load(graph);
-  }
-
-  Status RunInitial() override { return engine_.Run(); }
-
-  Status RunEpoch(const EdgeBatch& batch, EpochMetrics* m) override {
-    auto& drv = engine_.driver();
-    // Snapshot the modeled meters so the epoch reports deltas.
-    uint64_t read0 = 0, write0 = 0;
-    for (auto& node : drv.nodes()) {
-      read0 += node.storage->meter()->ReadBytes();
-      write0 += node.storage->meter()->WriteBytes();
-    }
-    const uint64_t net0 = drv.transport().TotalBytesSent();
-    const double modeled0 = drv.stats().modeled_seconds;
-    const size_t supersteps0 = drv.stats().supersteps.size();
-
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<VertexId> touched;
-    HG_RETURN_IF_ERROR(drv.ApplyEdgeBatch(batch, &touched));
-    const auto t1 = std::chrono::steady_clock::now();
-
-    bool warm = true;
-    if (policy_ == Policy::kSeedAll) {
-      drv.SeedAllActives();
-    } else if (!batch.HasDeletes()) {
-      // Insert-only: every possible improvement originates at a new edge's
-      // source, which re-announces its converged value at superstep 0.
-      drv.SeedEpochActives(touched);
-    } else {
-      warm = false;
-      HG_RETURN_IF_ERROR(drv.ReinitEpochState());
-    }
-    HG_RETURN_IF_ERROR(drv.StartEpoch(warm));
-    HG_RETURN_IF_ERROR(engine_.Run());
-    const auto t2 = std::chrono::steady_clock::now();
-
-    if (m != nullptr) {
-      m->epoch = epochs_run_;
-      m->timestamp = batch.timestamp;
-      m->batch_deltas = batch.deltas.size();
-      m->inserts = batch.NumInserts();
-      m->deletes = batch.NumDeletes();
-      m->touched_vertices = touched.size();
-      m->warm = warm;
-      m->supersteps = drv.stats().supersteps.size() - supersteps0;
-      m->ingest_wall_s = std::chrono::duration<double>(t1 - t0).count();
-      m->converge_wall_s = std::chrono::duration<double>(t2 - t1).count();
-      m->modeled_seconds = drv.stats().modeled_seconds - modeled0;
-      uint64_t read1 = 0, write1 = 0, runs = 0, run_bytes = 0;
-      for (auto& node : drv.nodes()) {
-        read1 += node.storage->meter()->ReadBytes();
-        write1 += node.storage->meter()->WriteBytes();
-        if (node.ve != nullptr) {
-          runs += node.ve->DeltaRunCount();
-          run_bytes += node.ve->DeltaBytes();
-        }
-      }
-      m->read_bytes = read1 - read0;
-      m->write_bytes = write1 - write0;
-      m->net_bytes = drv.transport().TotalBytesSent() - net0;
-      m->delta_runs = runs;
-      m->delta_bytes = run_bytes;
-    }
-    ++epochs_run_;
-    return Status::OK();
-  }
-
-  Result<std::vector<double>> Values() override {
-    auto values = engine_.GatherValues();
-    if (!values.ok()) return values.status();
-    std::vector<double> out(values->size());
-    for (size_t i = 0; i < values->size(); ++i) {
-      out[i] = static_cast<double>((*values)[i]);
-    }
-    return out;
-  }
-
-  Status CompactAll(uint64_t min_runs) override {
-    for (auto& node : engine_.driver().nodes()) {
-      if (node.ve != nullptr) {
-        HG_RETURN_IF_ERROR(node.ve->CompactAll(min_runs));
-      }
-    }
-    return Status::OK();
-  }
-
-  const JobStats& stats() const override { return engine_.stats(); }
-  uint64_t num_vertices() const override {
-    return engine_.partition().num_vertices();
-  }
-  bool converged() const override { return engine_.converged(); }
-  uint64_t epochs_run() const override { return epochs_run_; }
-
-  Engine<P>& engine() { return engine_; }
-
- private:
-  Engine<P> engine_;
-  Policy policy_;
-  uint64_t epochs_run_ = 0;
-};
+/// One epoch: ingest `batch`, seed per `policy` (not kNone), rewind,
+/// reconverge. Fills `m` (optional) with epoch number `epoch` and the meter
+/// deltas.
+Status RunEpoch(EpochPolicy policy, const EdgeBatch& batch, uint64_t epoch,
+                const EpochTarget& target, EpochMetrics* m);
 
 }  // namespace hybridgraph

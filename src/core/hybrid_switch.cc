@@ -101,6 +101,8 @@ Result<EngineMode> DecideInitialMode(const JobConfig& config,
   switch (config.mode) {
     case EngineMode::kPush:
     case EngineMode::kPushM:
+    // v-pull (GAS) has exactly one regime.
+    case EngineMode::kVPull:
     // GraphHP is push with intra-block sub-iterations; as a job mode it is
     // fixed at job granularity (the `mode != kHybrid` tail of EvaluateSwitch
     // never flips it).

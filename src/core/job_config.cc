@@ -14,16 +14,20 @@ struct ModeEntry {
   EngineMode mode;
   const char* name;    ///< canonical (printed) name
   const char* alias;   ///< extra parseable spelling (nullptr = none)
+  /// Runs streaming epochs (core/epoch_driver.h): the block-centric modes
+  /// the epoch services rewind. v-pull keeps its own vertex-cut stores;
+  /// adaptive is not wired to the epoch services.
+  bool streamable;
 };
 
 constexpr ModeEntry kModeTable[] = {
-    {EngineMode::kPush, "push", nullptr},
-    {EngineMode::kPushM, "pushM", "pushm"},
-    {EngineMode::kVPull, "pull", "vpull"},
-    {EngineMode::kBPull, "b-pull", "bpull"},
-    {EngineMode::kHybrid, "hybrid", nullptr},
-    {EngineMode::kAdaptive, "adaptive", nullptr},
-    {EngineMode::kGraphHp, "graphhp", "ghp"},
+    {EngineMode::kPush, "push", nullptr, true},
+    {EngineMode::kPushM, "pushM", "pushm", true},
+    {EngineMode::kVPull, "pull", "vpull", false},
+    {EngineMode::kBPull, "b-pull", "bpull", true},
+    {EngineMode::kHybrid, "hybrid", nullptr, true},
+    {EngineMode::kAdaptive, "adaptive", nullptr, false},
+    {EngineMode::kGraphHp, "graphhp", "ghp", true},
 };
 
 static_assert(sizeof(kModeTable) / sizeof(kModeTable[0]) == kNumEngineModes,
@@ -50,9 +54,17 @@ Status ParseEngineMode(const std::string& name, EngineMode* out) {
                                  ")");
 }
 
-std::string EngineModeNameList() {
+bool EngineModeStreamable(EngineMode mode) {
+  for (const ModeEntry& e : kModeTable) {
+    if (e.mode == mode) return e.streamable;
+  }
+  return false;
+}
+
+std::string EngineModeNameList(bool streamable_only) {
   std::string out;
   for (const ModeEntry& e : kModeTable) {
+    if (streamable_only && !e.streamable) continue;
     if (!out.empty()) out += "|";
     out += e.name;
   }
@@ -115,19 +127,9 @@ Status JobConfig::Validate(const JobFacts& facts) const {
         "ghp_max_local_iters must be >= 1 (the first local sweep is the "
         "global Phase B itself)");
   }
-  if (facts.vpull_engine) {
-    if (mode != EngineMode::kVPull) {
-      return Status::InvalidArgument(
-          "VPullEngine only runs EngineMode::kVPull");
-    }
-  } else {
-    if (mode == EngineMode::kVPull) {
-      return Status::InvalidArgument("use VPullEngine for EngineMode::kVPull");
-    }
-    if (mode == EngineMode::kPushM && !facts.combinable_messages) {
-      return Status::InvalidArgument(
-          "pushM (online computing) requires combinable messages");
-    }
+  if (mode == EngineMode::kPushM && !facts.combinable_messages) {
+    return Status::InvalidArgument(
+        "pushM (online computing) requires combinable messages");
   }
   if (mirror_degree_threshold > 0 && !facts.combinable_messages) {
     return Status::InvalidArgument(

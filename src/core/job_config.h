@@ -35,9 +35,13 @@ const char* EngineModeName(EngineMode mode);
 /// shows up in parsing and in error messages automatically.
 Status ParseEngineMode(const std::string& name, EngineMode* out);
 
-/// Canonical parseable mode names, comma-joined ("push|pushm|..." with '|'
-/// as the separator) for usage/error text. Aliases are excluded.
-std::string EngineModeNameList();
+/// Canonical parseable mode names, '|'-joined ("push|pushM|...") for
+/// usage/error text. Aliases are excluded; `streamable_only` keeps just the
+/// modes that run streaming epochs.
+std::string EngineModeNameList(bool streamable_only = false);
+
+/// Whether `mode` runs streaming epochs (the mode table's streamable column).
+bool EngineModeStreamable(EngineMode mode);
 
 /// How the simulated nodes exchange frames.
 enum class TransportKind : int {
@@ -259,14 +263,11 @@ struct JobConfig {
   struct JobFacts {
     uint64_t num_vertices = UINT64_MAX;
     bool combinable_messages = true;
-    /// True when validating for VPullEngine (mode must be kVPull);
-    /// false for Engine (mode must not be kVPull).
-    bool vpull_engine = false;
   };
 
   /// Checks the config for internal consistency. The single entry point for
-  /// every precondition both engines used to assert piecemeal in Load():
-  /// mode/engine pairing, pushM-needs-combinable, enough vertices for the
+  /// every precondition the engine used to assert piecemeal in Load():
+  /// pushM-needs-combinable, enough vertices for the
   /// cluster shape, and nonsensical knobs (zero nodes, a zero sending
   /// threshold, a zero message buffer, absurd thread counts). Returns
   /// InvalidArgument with a descriptive message on the first violation.

@@ -43,10 +43,6 @@ struct ProgramOps {
       (void)other;
     }
   }
-
-  static PendingSet::CombineRawFn PendingCombiner() {
-    return P::kCombinable ? &CombineRaw : nullptr;
-  }
 };
 
 /// Strategy for one execution mode. The driver invokes Consume/AfterConsume

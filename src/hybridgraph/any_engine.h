@@ -1,7 +1,8 @@
-// Type-erased engine runner: one object that fronts both Engine<P> (push /
-// pushM / b-pull / hybrid) and VPullEngine<P> (the GAS baseline) for every
-// built-in algorithm, so drivers, benches and examples no longer branch on
-// (algorithm x engine) template combinations themselves.
+// Type-erased engine runner: one object that fronts Engine<P> in any of the
+// seven modes for every built-in algorithm, so drivers, benches, examples
+// and the query server never branch on (algorithm x mode) template
+// combinations themselves. Algorithms with an epoch policy also run
+// streaming epochs (RunEpoch) under the streamable modes.
 //
 //   JobConfig cfg;
 //   cfg.mode = EngineMode::kHybrid;
@@ -21,6 +22,7 @@
 
 #include "core/job_config.h"
 #include "core/run_metrics.h"
+#include "graph/edge_delta.h"
 #include "graph/edge_list.h"
 #include "util/status.h"
 
@@ -56,11 +58,14 @@ struct AlgoSpec {
   /// SA: every source_stride-th vertex seeds one ad (0 keeps the program
   /// default).
   uint32_t sa_source_stride = 0;
+
+  /// PageRankDelta: halt once the global L1 rank delta falls below this
+  /// (0 keeps the program default).
+  double tolerance = 0;
 };
 
 /// Runtime interface over a loaded engine of any mode and algorithm. The
-/// concrete object owns an Engine<P> or a VPullEngine<P>, chosen by
-/// config.mode at MakeEngine() time.
+/// concrete object owns one Engine<P>.
 class AnyEngine {
  public:
   virtual ~AnyEngine() = default;
@@ -81,7 +86,21 @@ class AnyEngine {
   /// distance/depth for SSSP/BFS, label for LPA/WCC, and the number of
   /// adopted ads (popcount) for SA.
   virtual Result<std::vector<double>> GatherValuesAsDouble() = 0;
+
+  // Streaming epochs (core/epoch_driver.h), after the cold Run(). Fail
+  // unless CheckStreaming(config.mode, kind) passes.
+
+  /// Ingests `batch` and reconverges; fills `m` (optional).
+  virtual Status RunEpoch(const EdgeBatch& batch, EpochMetrics* m) = 0;
+  /// Folds overlay delta runs (>= min_runs per cell) into base blocks.
+  virtual Status CompactAll(uint64_t min_runs) = 0;
+  /// Epochs run so far (the cold Run() not counted).
+  virtual uint64_t epochs_run() const = 0;
 };
+
+/// OK when `kind` runs streaming epochs under `mode`: its registry row
+/// carries an epoch policy and the mode table marks the mode streamable.
+Status CheckStreaming(EngineMode mode, AlgoKind kind);
 
 /// Builds the engine for (config.mode, spec.kind). Validation beyond
 /// JobConfig::Validate() happens inside Load() as usual; mode/algorithm
@@ -95,5 +114,18 @@ inline Result<std::unique_ptr<AnyEngine>> MakeEngine(const JobConfig& config,
   spec.kind = kind;
   return MakeEngine(config, spec);
 }
+
+// Streaming adapter, kept because perfbench/ uses these names: MakeEngine
+// plus CheckStreaming, with `source` always applied and a 1e-9 tolerance.
+using AnyEpochEngine = AnyEngine;
+
+struct EpochAlgoSpec {
+  std::string name = "pagerank-delta";  ///< pagerank-delta | sssp | bfs | wcc
+  VertexId source = 0;                  ///< sssp / bfs; always applied
+  double tolerance = 1e-9;              ///< pagerank-delta halt tolerance
+};
+
+Result<std::unique_ptr<AnyEngine>> MakeEpochEngine(const JobConfig& config,
+                                                   const EpochAlgoSpec& spec);
 
 }  // namespace hybridgraph

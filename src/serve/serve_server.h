@@ -1,5 +1,5 @@
 // The hg_serve core: a long-lived streaming graph service over one
-// AnyEpochEngine.
+// AnyEngine running streaming epochs.
 //
 // Threading model:
 //   - The *epoch thread* (owned here) is the only thread that ever touches
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/epoch_driver.h"
+#include "hybridgraph/any_engine.h"
 #include "net/transport.h"
 #include "serve/serve_protocol.h"
 #include "serve/snapshot.h"
@@ -47,9 +48,10 @@ class ServeServer {
     std::string metrics_json_path;
   };
 
-  /// `engine` must be Load()ed but not yet run; the server runs the cold
-  /// initial convergence in Start(). The engine must outlive the server.
-  ServeServer(AnyEpochEngine* engine, Options options);
+  /// `engine` must be Load()ed but not yet run, for an algorithm and mode
+  /// that pass CheckStreaming; the server runs the cold initial convergence
+  /// in Start(). The engine must outlive the server.
+  ServeServer(AnyEngine* engine, Options options);
   ~ServeServer();
 
   /// Registers the four kServe* handlers for `node` on `transport`. Must be
@@ -86,7 +88,7 @@ class ServeServer {
   Status PublishSnapshot(uint64_t timestamp);
   Status AppendMetricsFiles();
 
-  AnyEpochEngine* engine_;
+  AnyEngine* engine_;
   Options options_;
   SnapshotBoard board_;
 

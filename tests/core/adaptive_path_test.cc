@@ -52,8 +52,7 @@ struct Rig {
 template <typename P>
 Rig<P> MakeRig(const JobConfig& cfg, P program) {
   Rig<P> rig;
-  rig.driver = std::make_unique<SuperstepDriver<P>>(cfg, program,
-                                                    /*gas_engine=*/false);
+  rig.driver = std::make_unique<SuperstepDriver<P>>(cfg, program);
   rig.push = std::make_unique<PushPath<P>>(rig.driver.get());
   rig.bpull = std::make_unique<BPullPath<P>>(rig.driver.get());
   rig.driver->InstallPath(rig.push.get(),

@@ -7,7 +7,6 @@
 #include "algos/sa.h"
 #include "algos/sssp.h"
 #include "core/engine.h"
-#include "core/vpull_engine.h"
 #include "graph/generator.h"
 
 namespace hybridgraph {
@@ -42,7 +41,7 @@ TEST(CrossEngine, LpaAgreesAcrossAllEngines) {
     EXPECT_EQ(engine.GatherValues().ValueOrDie(), reference);
   }
   {
-    VPullEngine<LpaProgram> engine(Base(EngineMode::kVPull), LpaProgram{});
+    Engine<LpaProgram> engine(Base(EngineMode::kVPull), LpaProgram{});
     ASSERT_TRUE(engine.Load(g).ok());
     ASSERT_TRUE(engine.Run().ok());
     EXPECT_EQ(engine.GatherValues().ValueOrDie(), reference);
@@ -77,7 +76,7 @@ TEST(CrossEngine, SaAgreesAcrossAllEngines) {
   {
     JobConfig c2 = cfg;
     c2.mode = EngineMode::kVPull;
-    VPullEngine<SaProgram> engine(c2, program);
+    Engine<SaProgram> engine(c2, program);
     ASSERT_TRUE(engine.Load(g).ok());
     ASSERT_TRUE(engine.Run().ok());
     const auto got = engine.GatherValues().ValueOrDie();

@@ -8,7 +8,6 @@
 #include "algos/sssp.h"
 #include "algos/wcc.h"
 #include "core/engine.h"
-#include "core/vpull_engine.h"
 #include "graph/generator.h"
 #include "tests/core/reference_impls.h"
 
@@ -158,7 +157,7 @@ TEST(EdgeCases, VPullOnDegenerateGraphs) {
   const auto expected = ReferencePageRank(g, 4);
   JobConfig cfg = Base(EngineMode::kVPull);
   cfg.max_supersteps = 4;
-  VPullEngine<PageRankProgram> engine(cfg, PageRankProgram{});
+  Engine<PageRankProgram> engine(cfg, PageRankProgram{});
   ASSERT_TRUE(engine.Load(g).ok());
   ASSERT_TRUE(engine.Run().ok());
   const auto got = engine.GatherValues().ValueOrDie();

@@ -3,15 +3,18 @@
 // graph — exactly for the monotone traversal programs (SSSP/BFS/WCC), and
 // within 1e-12 for PageRankDelta when both sides converge at a tight
 // tolerance. Modeled metrics must be bit-identical across thread counts.
+// Engines come from MakeEngine; the guard rails also cover the
+// MakeEpochEngine adapter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
 
-#include "core/epoch_driver.h"
 #include "graph/edge_delta.h"
 #include "graph/generator.h"
+#include "hybridgraph/any_engine.h"
 
 namespace hybridgraph {
 namespace {
@@ -30,6 +33,16 @@ JobConfig Base(EngineMode mode, uint32_t threads = 1) {
   return cfg;
 }
 
+/// A streaming algorithm by name, sourced at vertex 0; `tolerance` is the
+/// pagerank-delta halt tolerance (0 = program default).
+AlgoSpec Algo(const char* name, double tolerance = 0) {
+  AlgoSpec spec;
+  spec.kind = ParseAlgoKind(name).ValueOrDie();
+  spec.source_set = true;
+  spec.tolerance = tolerance;
+  return spec;
+}
+
 std::vector<EdgeBatch> Stream(const EdgeListGraph& g, uint32_t batches,
                               uint32_t size, double deletes, uint64_t seed) {
   EdgeStreamOptions so;
@@ -42,40 +55,41 @@ std::vector<EdgeBatch> Stream(const EdgeListGraph& g, uint32_t batches,
 
 /// Cold oracle: a fresh engine over the mutated graph, converged from
 /// InitValue state — what each epoch's fixpoint must reproduce.
-std::vector<double> ColdValues(const JobConfig& cfg, const EpochAlgoSpec& spec,
+std::vector<double> ColdValues(const JobConfig& cfg, const AlgoSpec& spec,
                                const EdgeListGraph& graph) {
-  auto engine = MakeEpochEngine(cfg, spec).ValueOrDie();
+  auto engine = MakeEngine(cfg, spec).ValueOrDie();
   EXPECT_TRUE(engine->Load(graph).ok());
-  EXPECT_TRUE(engine->RunInitial().ok());
-  return engine->Values().ValueOrDie();
+  EXPECT_TRUE(engine->Run().ok());
+  return engine->GatherValuesAsDouble().ValueOrDie();
 }
 
 /// Runs `stream` through one epoch engine, comparing values to the cold
 /// oracle after every epoch. `tol` = 0 demands exact equality.
-void RunDifferential(const JobConfig& cfg, const EpochAlgoSpec& spec,
+void RunDifferential(const JobConfig& cfg, const AlgoSpec& spec,
                      EdgeListGraph graph, const std::vector<EdgeBatch>& stream,
                      double tol, std::vector<EpochMetrics>* metrics = nullptr) {
-  auto epoch_engine = MakeEpochEngine(cfg, spec).ValueOrDie();
+  const char* name = AlgoKindName(spec.kind);
+  auto epoch_engine = MakeEngine(cfg, spec).ValueOrDie();
   ASSERT_TRUE(epoch_engine->Load(graph).ok());
-  ASSERT_TRUE(epoch_engine->RunInitial().ok());
+  ASSERT_TRUE(epoch_engine->Run().ok());
   for (size_t i = 0; i < stream.size(); ++i) {
     EpochMetrics m;
     ASSERT_TRUE(epoch_engine->RunEpoch(stream[i], &m).ok())
-        << spec.name << " epoch " << i;
+        << name << " epoch " << i;
     EXPECT_TRUE(epoch_engine->converged());
     if (metrics != nullptr) metrics->push_back(m);
 
     ApplyBatchToGraph(&graph, stream[i]);
-    const std::vector<double> got = epoch_engine->Values().ValueOrDie();
+    const std::vector<double> got =
+        epoch_engine->GatherValuesAsDouble().ValueOrDie();
     const std::vector<double> want = ColdValues(cfg, spec, graph);
     ASSERT_EQ(got.size(), want.size());
     for (size_t v = 0; v < got.size(); ++v) {
       if (tol == 0.0) {
-        ASSERT_EQ(got[v], want[v])
-            << spec.name << " epoch " << i << " vertex " << v;
+        ASSERT_EQ(got[v], want[v]) << name << " epoch " << i << " vertex " << v;
       } else {
         ASSERT_NEAR(got[v], want[v], tol)
-            << spec.name << " epoch " << i << " vertex " << v;
+            << name << " epoch " << i << " vertex " << v;
       }
     }
   }
@@ -85,8 +99,7 @@ void RunDifferential(const JobConfig& cfg, const EpochAlgoSpec& spec,
 
 TEST(EpochDifferential, SsspInsertOnlyWarmEpochsExact) {
   EdgeListGraph g = TestGraph();
-  EpochAlgoSpec spec;
-  spec.name = "sssp";
+  const AlgoSpec spec = Algo("sssp");
   auto stream = Stream(g, 3, 40, 0.0, 901);
   std::vector<EpochMetrics> metrics;
   RunDifferential(Base(EngineMode::kHybrid), spec, g, stream, 0.0, &metrics);
@@ -95,8 +108,7 @@ TEST(EpochDifferential, SsspInsertOnlyWarmEpochsExact) {
 
 TEST(EpochDifferential, SsspDeleteBatchesReinitExact) {
   EdgeListGraph g = TestGraph();
-  EpochAlgoSpec spec;
-  spec.name = "sssp";
+  const AlgoSpec spec = Algo("sssp");
   auto stream = Stream(g, 3, 40, 0.5, 902);
   std::vector<EpochMetrics> metrics;
   RunDifferential(Base(EngineMode::kHybrid), spec, g, stream, 0.0, &metrics);
@@ -107,8 +119,7 @@ TEST(EpochDifferential, SsspDeleteBatchesReinitExact) {
 
 TEST(EpochDifferential, BfsEpochsExact) {
   EdgeListGraph g = TestGraph(400, 78);
-  EpochAlgoSpec spec;
-  spec.name = "bfs";
+  const AlgoSpec spec = Algo("bfs");
   RunDifferential(Base(EngineMode::kHybrid), spec, g,
                   Stream(g, 2, 40, 0.0, 903), 0.0);
   RunDifferential(Base(EngineMode::kHybrid), spec, g,
@@ -117,8 +128,7 @@ TEST(EpochDifferential, BfsEpochsExact) {
 
 TEST(EpochDifferential, WccEpochsExact) {
   EdgeListGraph g = TestGraph(400, 79);
-  EpochAlgoSpec spec;
-  spec.name = "wcc";
+  const AlgoSpec spec = Algo("wcc");
   RunDifferential(Base(EngineMode::kHybrid), spec, g,
                   Stream(g, 2, 40, 0.0, 905), 0.0);
   RunDifferential(Base(EngineMode::kHybrid), spec, g,
@@ -127,8 +137,7 @@ TEST(EpochDifferential, WccEpochsExact) {
 
 TEST(EpochDifferential, SsspExactAcrossAllBlockModes) {
   EdgeListGraph g = TestGraph(300, 80);
-  EpochAlgoSpec spec;
-  spec.name = "sssp";
+  const AlgoSpec spec = Algo("sssp");
   auto stream = Stream(g, 2, 30, 0.25, 907);
   for (EngineMode mode : {EngineMode::kPush, EngineMode::kPushM,
                           EngineMode::kBPull, EngineMode::kHybrid,
@@ -143,8 +152,7 @@ TEST(EpochDifferential, GraphHpEpochsExact) {
   // epoch's sub-iterations must still reach the exact cold fixpoint.
   for (const char* algo : {"sssp", "bfs", "wcc"}) {
     EdgeListGraph g = TestGraph(400, 83);
-    EpochAlgoSpec spec;
-    spec.name = algo;
+    const AlgoSpec spec = Algo(algo);
     RunDifferential(Base(EngineMode::kGraphHp), spec, g,
                     Stream(g, 3, 40, 0.0, 910), 0.0);
     RunDifferential(Base(EngineMode::kGraphHp), spec, g,
@@ -156,11 +164,9 @@ TEST(EpochDifferential, GraphHpEpochsExact) {
 
 TEST(EpochDifferential, PageRankDeltaEpochsWithin1e12) {
   EdgeListGraph g = TestGraph(300, 81);
-  EpochAlgoSpec spec;
-  spec.name = "pagerank-delta";
   // Both sides land within ~t*d/(1-d) of the unique fixpoint; at t = 1e-14
   // that band is ~6e-14, comfortably inside the 1e-12 budget.
-  spec.tolerance = 1e-14;
+  const AlgoSpec spec = Algo("pagerank-delta", 1e-14);
   JobConfig cfg = Base(EngineMode::kHybrid);
   cfg.max_supersteps = 600;
   RunDifferential(cfg, spec, g, Stream(g, 2, 30, 0.3, 908), 1e-12);
@@ -168,15 +174,13 @@ TEST(EpochDifferential, PageRankDeltaEpochsWithin1e12) {
 
 TEST(EpochDifferential, PageRankDeltaWarmEpochsAreCheaper) {
   EdgeListGraph g = TestGraph(400, 82);
-  EpochAlgoSpec spec;
-  spec.name = "pagerank-delta";
-  spec.tolerance = 1e-10;
+  const AlgoSpec spec = Algo("pagerank-delta", 1e-10);
   JobConfig cfg = Base(EngineMode::kHybrid);
   cfg.max_supersteps = 400;
 
-  auto engine = MakeEpochEngine(cfg, spec).ValueOrDie();
+  auto engine = MakeEngine(cfg, spec).ValueOrDie();
   ASSERT_TRUE(engine->Load(g).ok());
-  ASSERT_TRUE(engine->RunInitial().ok());
+  ASSERT_TRUE(engine->Run().ok());
   const uint64_t cold_supersteps = engine->stats().supersteps.size();
 
   auto stream = Stream(g, 2, 10, 0.0, 909);
@@ -194,22 +198,21 @@ TEST(EpochDifferential, PageRankDeltaWarmEpochsAreCheaper) {
 
 TEST(EpochDifferential, ModeledMetricsBitIdenticalAcrossThreadCounts) {
   EdgeListGraph g = TestGraph(300, 83);
-  EpochAlgoSpec spec;
-  spec.name = "sssp";
+  const AlgoSpec spec = Algo("sssp");
   auto stream = Stream(g, 3, 30, 0.4, 910);
 
   auto run = [&](uint32_t threads) {
     auto engine =
-        MakeEpochEngine(Base(EngineMode::kHybrid, threads), spec).ValueOrDie();
+        MakeEngine(Base(EngineMode::kHybrid, threads), spec).ValueOrDie();
     EXPECT_TRUE(engine->Load(g).ok());
-    EXPECT_TRUE(engine->RunInitial().ok());
+    EXPECT_TRUE(engine->Run().ok());
     std::vector<EpochMetrics> ms;
     for (const auto& batch : stream) {
       EpochMetrics m;
       EXPECT_TRUE(engine->RunEpoch(batch, &m).ok());
       ms.push_back(m);
     }
-    return std::make_pair(ms, engine->Values().ValueOrDie());
+    return std::make_pair(ms, engine->GatherValuesAsDouble().ValueOrDie());
   };
 
   const auto [m1, v1] = run(1);
@@ -230,8 +233,56 @@ TEST(EpochDifferential, ModeledMetricsBitIdenticalAcrossThreadCounts) {
 // ----------------------------------------------------------------- guard rails
 
 TEST(EpochDifferential, VPullModeRejected) {
-  JobConfig cfg = Base(EngineMode::kVPull);
-  EXPECT_FALSE(MakeEpochEngine(cfg, EpochAlgoSpec{}).ok());
+  // The adapter refuses the non-streamable modes up front.
+  for (EngineMode mode : {EngineMode::kVPull, EngineMode::kAdaptive}) {
+    EXPECT_FALSE(MakeEpochEngine(Base(mode), EpochAlgoSpec{}).ok())
+        << EngineModeName(mode);
+  }
+}
+
+TEST(EpochDifferential, RunEpochRejectsNonEpochAlgorithmsAndModes) {
+  EdgeListGraph g = TestGraph(100, 86);
+  const EdgeBatch batch = Stream(g, 1, 10, 0.0, 912)[0];
+  // Algorithms without an epoch policy: the batch run works, epochs do not.
+  for (AlgoKind kind : {AlgoKind::kPageRank, AlgoKind::kLpa, AlgoKind::kSa}) {
+    auto engine = MakeEngine(Base(EngineMode::kHybrid), kind).ValueOrDie();
+    ASSERT_TRUE(engine->Load(g).ok());
+    ASSERT_TRUE(engine->Run().ok());
+    EXPECT_EQ(engine->RunEpoch(batch, nullptr).code(),
+              StatusCode::kInvalidArgument)
+        << AlgoKindName(kind);
+    EpochAlgoSpec adapter;
+    adapter.name = AlgoKindName(kind);
+    EXPECT_FALSE(MakeEpochEngine(Base(EngineMode::kHybrid), adapter).ok());
+  }
+  // An epoch algorithm under a non-streamable mode.
+  for (EngineMode mode : {EngineMode::kVPull, EngineMode::kAdaptive}) {
+    auto engine = MakeEngine(Base(mode), Algo("sssp")).ValueOrDie();
+    ASSERT_TRUE(engine->Load(g).ok());
+    ASSERT_TRUE(engine->Run().ok());
+    EXPECT_EQ(engine->RunEpoch(batch, nullptr).code(),
+              StatusCode::kInvalidArgument)
+        << EngineModeName(mode);
+    EXPECT_EQ(engine->epochs_run(), 0u);
+  }
+}
+
+TEST(EpochDifferential, AdapterSourcesAtVertexZero) {
+  // MakeEpochEngine always applies EpochAlgoSpec::source (default 0), never
+  // the max-out-degree vertex MakeEngine picks for an unset source.
+  EdgeListGraph g = TestGraph(200, 87);
+  const auto degrees = g.OutDegrees();
+  ASSERT_NE(std::max_element(degrees.begin(), degrees.end()) - degrees.begin(),
+            0);
+  EpochAlgoSpec adapter;
+  adapter.name = "sssp";
+  auto engine =
+      MakeEpochEngine(Base(EngineMode::kHybrid), adapter).ValueOrDie();
+  ASSERT_TRUE(engine->Load(g).ok());
+  ASSERT_TRUE(engine->Run().ok());
+  EXPECT_EQ(engine->GatherValuesAsDouble().ValueOrDie(),
+            ColdValues(Base(EngineMode::kHybrid), Algo("sssp"), g));
+  EXPECT_EQ(engine->GatherValuesAsDouble().ValueOrDie()[0], 0.0);
 }
 
 TEST(EpochDifferential, UnknownAlgorithmRejected) {
@@ -242,10 +293,11 @@ TEST(EpochDifferential, UnknownAlgorithmRejected) {
 
 TEST(EpochDifferential, OutOfRangeEndpointRejected) {
   EdgeListGraph g = TestGraph(100, 84);
-  auto engine =
-      MakeEpochEngine(Base(EngineMode::kHybrid), EpochAlgoSpec{}).ValueOrDie();
+  auto engine = MakeEngine(Base(EngineMode::kHybrid),
+                           Algo("pagerank-delta", 1e-9))
+                    .ValueOrDie();
   ASSERT_TRUE(engine->Load(g).ok());
-  ASSERT_TRUE(engine->RunInitial().ok());
+  ASSERT_TRUE(engine->Run().ok());
   EdgeBatch bad;
   bad.deltas.push_back({5, 100, 1.0f, false});  // dst out of range
   EXPECT_FALSE(engine->RunEpoch(bad, nullptr).ok());
@@ -253,18 +305,18 @@ TEST(EpochDifferential, OutOfRangeEndpointRejected) {
 
 TEST(EpochDifferential, CompactionBetweenEpochsPreservesFixpoints) {
   EdgeListGraph g = TestGraph(300, 85);
-  EpochAlgoSpec spec;
-  spec.name = "wcc";
+  const AlgoSpec spec = Algo("wcc");
   JobConfig cfg = Base(EngineMode::kBPull);
-  auto engine = MakeEpochEngine(cfg, spec).ValueOrDie();
+  auto engine = MakeEngine(cfg, spec).ValueOrDie();
   ASSERT_TRUE(engine->Load(g).ok());
-  ASSERT_TRUE(engine->RunInitial().ok());
+  ASSERT_TRUE(engine->Run().ok());
   EdgeListGraph mutated = g;
   for (const auto& batch : Stream(g, 3, 30, 0.3, 911)) {
     ASSERT_TRUE(engine->RunEpoch(batch, nullptr).ok());
     ASSERT_TRUE(engine->CompactAll(1).ok());
     ApplyBatchToGraph(&mutated, batch);
-    EXPECT_EQ(engine->Values().ValueOrDie(), ColdValues(cfg, spec, mutated));
+    EXPECT_EQ(engine->GatherValuesAsDouble().ValueOrDie(),
+              ColdValues(cfg, spec, mutated));
   }
 }
 

@@ -48,9 +48,10 @@ std::vector<uint8_t> RunPageRankRaw(JobConfig cfg) {
   return engine->GatherValuesRaw().ValueOrDie();
 }
 
-constexpr EngineMode kAllModes[] = {EngineMode::kPush, EngineMode::kPushM,
-                                    EngineMode::kVPull, EngineMode::kBPull,
-                                    EngineMode::kHybrid};
+constexpr EngineMode kAllModes[] = {
+    EngineMode::kPush,   EngineMode::kPushM,    EngineMode::kVPull,
+    EngineMode::kBPull,  EngineMode::kHybrid,   EngineMode::kAdaptive,
+    EngineMode::kGraphHp};
 
 TEST_F(FaultInjectionTest, DelayScheduleIsResultInvariantAcrossThreadCounts) {
   // Delays perturb timing, not data: under a randomized seeded delay schedule

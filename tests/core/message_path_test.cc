@@ -35,9 +35,9 @@ EdgeListGraph TestGraph(uint64_t seed = 11) {
   return GeneratePowerLaw(800, 7.0, 0.8, seed);
 }
 
-/// A driver plus the installed strategies — the same wiring the Engine /
-/// VPullEngine facades do, but exposed so tests can drive any path through
-/// one shared fixture.
+/// A driver plus the installed strategies — the same wiring the Engine
+/// facade does, but exposed so tests can drive any path through one shared
+/// fixture.
 template <typename P>
 struct DriverRig {
   std::unique_ptr<SuperstepDriver<P>> driver;
@@ -57,14 +57,12 @@ template <typename P>
 DriverRig<P> MakeRig(const JobConfig& cfg, P program) {
   DriverRig<P> rig;
   if (cfg.mode == EngineMode::kVPull) {
-    rig.driver = std::make_unique<SuperstepDriver<P>>(cfg, program,
-                                                      /*gas_engine=*/true);
+    rig.driver = std::make_unique<SuperstepDriver<P>>(cfg, program);
     rig.vpull = std::make_unique<VPullPath<P>>(rig.driver.get());
     rig.driver->InstallPath(rig.vpull.get(), /*active=*/true);
     return rig;
   }
-  rig.driver = std::make_unique<SuperstepDriver<P>>(cfg, program,
-                                                    /*gas_engine=*/false);
+  rig.driver = std::make_unique<SuperstepDriver<P>>(cfg, program);
   if (cfg.mode == EngineMode::kPushM) {
     rig.push = std::make_unique<PushMPath<P>>(rig.driver.get());
   } else {
@@ -190,8 +188,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, MessagePathConformance,
 
 TEST(MessagePathCapabilities, PathsDeclareTheirNeeds) {
   JobConfig cfg = BaseConfig(EngineMode::kHybrid, 1);
-  SuperstepDriver<PageRankProgram> driver(cfg, PageRankProgram{},
-                                          /*gas_engine=*/false);
+  SuperstepDriver<PageRankProgram> driver(cfg, PageRankProgram{});
   PushPath<PageRankProgram> push(&driver);
   PushMPath<PageRankProgram> pushm(&driver);
   BPullPath<PageRankProgram> bpull(&driver);
@@ -291,8 +288,7 @@ TEST(MessagePathCapabilities, ServePullOnlyOnPullPaths) {
   // The driver routes kPullRequest to the b-pull slot; a path that does not
   // serve pulls must say so rather than silently answer.
   JobConfig cfg = BaseConfig(EngineMode::kPush, 1);
-  SuperstepDriver<PageRankProgram> driver(cfg, PageRankProgram{},
-                                          /*gas_engine=*/false);
+  SuperstepDriver<PageRankProgram> driver(cfg, PageRankProgram{});
   PushPath<PageRankProgram> push(&driver);
   NodeState node;
   Buffer response;

@@ -102,10 +102,28 @@ TEST_P(RecoveryModeTest, CrashWithCheckpointMatchesFaultFree) {
   }
 }
 
+// pushM keeps the messages for its cached vertices in online accumulators
+// across the barrier, so its checkpoint image must carry them too.
 INSTANTIATE_TEST_SUITE_P(Modes, RecoveryModeTest,
                          ::testing::Values(EngineMode::kPush,
+                                           EngineMode::kPushM,
                                            EngineMode::kBPull,
-                                           EngineMode::kHybrid));
+                                           EngineMode::kHybrid,
+                                           EngineMode::kAdaptive,
+                                           EngineMode::kGraphHp));
+
+TEST(Checkpoint, VPullReportsUnsupported) {
+  // v-pull's vertex-cut stores live outside the block-centric image.
+  const auto g = TestGraph();
+  const JobConfig cfg = Base(EngineMode::kVPull);
+  Engine<PageRankProgram> engine(cfg, PageRankProgram{});
+  ASSERT_TRUE(engine.Load(g).ok());
+  ASSERT_TRUE(engine.RunSuperstep().ok());
+  Buffer image;
+  EXPECT_EQ(engine.WriteCheckpoint(&image).code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(engine.RestoreCheckpoint(Slice()).code(),
+            StatusCode::kUnimplemented);
+}
 
 TEST(Recovery, RecomputeFromScratchWhenNoCheckpoints) {
   // The paper's baseline policy: no checkpoints, recovery restarts the job.

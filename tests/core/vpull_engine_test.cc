@@ -1,6 +1,6 @@
 // v-pull (PowerGraph GAS) engine: correctness against references and the
 // Table-5 scenario ordering (shrinking the vertex cache must hurt).
-#include "core/vpull_engine.h"
+#include "core/engine.h"
 
 #include <gtest/gtest.h>
 
@@ -26,7 +26,7 @@ TEST(VPullEngine, PageRankMatchesReference) {
   cfg.num_nodes = 4;
   cfg.vpull_vertex_cache = 50;  // heavy miss traffic, same results
   cfg.max_supersteps = kSteps;
-  VPullEngine<PageRankProgram> engine(cfg, PageRankProgram{});
+  Engine<PageRankProgram> engine(cfg, PageRankProgram{});
   ASSERT_TRUE(engine.Load(g).ok());
   ASSERT_TRUE(engine.Run().ok());
   const auto got = engine.GatherValues().ValueOrDie();
@@ -44,7 +44,7 @@ TEST(VPullEngine, SsspMatchesReferenceAndConverges) {
   cfg.mode = EngineMode::kVPull;
   cfg.num_nodes = 4;
   cfg.max_supersteps = 200;
-  VPullEngine<SsspProgram> engine(cfg, program);
+  Engine<SsspProgram> engine(cfg, program);
   ASSERT_TRUE(engine.Load(g).ok());
   ASSERT_TRUE(engine.Run().ok());
   EXPECT_TRUE(engine.converged());
@@ -60,7 +60,7 @@ TEST(VPullEngine, LpaRunsNonCombinable) {
   cfg.mode = EngineMode::kVPull;
   cfg.num_nodes = 3;
   cfg.max_supersteps = 5;
-  VPullEngine<LpaProgram> engine(cfg, LpaProgram{});
+  Engine<LpaProgram> engine(cfg, LpaProgram{});
   ASSERT_TRUE(engine.Load(g).ok());
   ASSERT_TRUE(engine.Run().ok());
   const auto got = engine.GatherValues().ValueOrDie();
@@ -79,7 +79,7 @@ TEST(VPullEngine, SmallerCacheMeansMoreTime) {
     cfg.memory_resident = memory_resident;
     cfg.vpull_vertex_cache = cache;
     cfg.max_supersteps = 5;
-    VPullEngine<PageRankProgram> engine(cfg, PageRankProgram{});
+    Engine<PageRankProgram> engine(cfg, PageRankProgram{});
     EXPECT_TRUE(engine.Load(g).ok());
     EXPECT_TRUE(engine.Run().ok());
     return engine.stats().modeled_seconds;
@@ -100,7 +100,7 @@ TEST(VPullEngine, NetworkTrafficScalesWithReplication) {
     cfg.mode = EngineMode::kVPull;
     cfg.num_nodes = nodes;
     cfg.max_supersteps = 3;
-    VPullEngine<PageRankProgram> engine(cfg, PageRankProgram{});
+    Engine<PageRankProgram> engine(cfg, PageRankProgram{});
     EXPECT_TRUE(engine.Load(g).ok());
     EXPECT_TRUE(engine.Run().ok());
     return engine.stats().TotalNetBytes();

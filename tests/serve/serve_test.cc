@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/epoch_driver.h"
+#include "hybridgraph/any_engine.h"
 #include "graph/generator.h"
 #include "serve/serve_server.h"
 
@@ -108,7 +108,7 @@ TEST(ServeProtocol, RejectsTruncatedAndTrailingBytes) {
 
 struct ServeFixture {
   EdgeListGraph graph;
-  std::unique_ptr<AnyEpochEngine> engine;
+  std::unique_ptr<AnyEngine> engine;
 
   explicit ServeFixture(const std::string& algo = "pagerank-delta",
                         uint64_t n = 200) {
@@ -118,10 +118,11 @@ struct ServeFixture {
     cfg.num_nodes = 2;
     cfg.msg_buffer_per_node = 200;
     cfg.max_supersteps = 200;
-    EpochAlgoSpec spec;
-    spec.name = algo;
+    AlgoSpec spec;
+    spec.kind = ParseAlgoKind(algo).ValueOrDie();
+    spec.source_set = true;  // vertex 0
     spec.tolerance = 1e-10;
-    engine = MakeEpochEngine(cfg, spec).ValueOrDie();
+    engine = MakeEngine(cfg, spec).ValueOrDie();
     EXPECT_TRUE(engine->Load(graph).ok());
   }
 
@@ -161,7 +162,7 @@ TEST(ServeServer, CommitsEpochsAndPublishesSnapshots) {
   EXPECT_EQ(server.metrics().size(), 3u);
 
   // The published values ARE the engine's converged values.
-  EXPECT_EQ(snap->values, f.engine->Values().ValueOrDie());
+  EXPECT_EQ(snap->values, f.engine->GatherValuesAsDouble().ValueOrDie());
   server.Stop();
 }
 
@@ -196,7 +197,7 @@ TEST(ServeServer, HandlersAnswerOverTransport) {
   GetResponse get;
   ASSERT_TRUE(DecodeGetResponse(Slice(resp), &get).ok());
   EXPECT_EQ(get.epoch, 2u);
-  EXPECT_EQ(get.value, f.engine->Values().ValueOrDie()[0]);
+  EXPECT_EQ(get.value, f.engine->GatherValuesAsDouble().ValueOrDie()[0]);
 
   // Out-of-range vertex is an error, not a crash.
   req.Clear();

@@ -22,8 +22,8 @@
 #include <memory>
 #include <string>
 
-#include "core/epoch_driver.h"
 #include "graph/generator.h"
+#include "hybridgraph/any_engine.h"
 #include "net/tcp_transport.h"
 #include "serve/serve_server.h"
 
@@ -56,7 +56,7 @@ void Usage() {
       stderr,
       "usage: hg_serve --graph <file|dataset:NAME> [options]\n"
       "  --algo pagerank-delta|sssp|bfs|wcc   (default pagerank-delta)\n"
-      "  --mode push|pushm|bpull|hybrid       (default hybrid)\n"
+      "  --mode %s  (default hybrid)\n"
       "  --nodes N          simulated computational nodes   (default 2)\n"
       "  --threads N        worker threads, 0 = all cores   (default 1)\n"
       "  --supersteps N     per-epoch superstep cap         (default 500)\n"
@@ -73,7 +73,8 @@ void Usage() {
       "  --batch N          deltas per self-driven batch    (default 64)\n"
       "  --deletes F        delete fraction of the stream   (default 0)\n"
       "  --seed S           stream seed                     (default 42)\n"
-      "  --topk K           K for the interleaved TOPK query (default 5)\n");
+      "  --topk K           K for the interleaved TOPK query (default 5)\n",
+      EngineModeNameList(/*streamable_only=*/true).c_str());
 }
 
 Result<EdgeListGraph> LoadGraph(const std::string& spec) {
@@ -83,17 +84,6 @@ Result<EdgeListGraph> LoadGraph(const std::string& spec) {
     return BuildDataset(ds);
   }
   return LoadEdgeListFile(spec);
-}
-
-Result<EngineMode> ParseMode(const std::string& s) {
-  if (s == "push") return EngineMode::kPush;
-  if (s == "pushm") return EngineMode::kPushM;
-  if (s == "bpull" || s == "b-pull") return EngineMode::kBPull;
-  if (s == "hybrid") return EngineMode::kHybrid;
-  if (s == "graphhp") return EngineMode::kGraphHp;
-  return Status::InvalidArgument(
-      "unknown streaming mode: " + s +
-      " (known modes: push|pushm|b-pull|hybrid|graphhp)");
 }
 
 /// Drives `n` batches through the wire protocol from the client node,
@@ -240,32 +230,35 @@ int main(int argc, char** argv) {
               (unsigned long long)graph.num_vertices,
               (unsigned long long)graph.num_edges());
 
-  auto mode_r = ParseMode(opt.mode);
-  if (!mode_r.ok()) {
-    std::fprintf(stderr, "%s\n", mode_r.status().ToString().c_str());
+  JobConfig cfg;
+  if (!ParseEngineMode(opt.mode, &cfg.mode).ok() ||
+      !EngineModeStreamable(cfg.mode)) {
+    std::fprintf(stderr, "unknown streaming mode: %s (streaming modes: %s)\n",
+                 opt.mode.c_str(),
+                 EngineModeNameList(/*streamable_only=*/true).c_str());
     return 2;
   }
-
-  JobConfig cfg;
-  cfg.mode = *mode_r;
+  auto kind = ParseAlgoKind(opt.algo);
+  Status st = kind.ok() ? CheckStreaming(cfg.mode, *kind) : kind.status();
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 2;
+  }
+  const AlgoSpec spec{.kind = *kind, .source = opt.source, .source_set = true,
+                      .tolerance = opt.tolerance};
   cfg.num_nodes = opt.nodes;
   cfg.num_threads = opt.threads;
   cfg.max_supersteps = opt.supersteps;
   cfg.disk = opt.disk == "ssd" ? DiskProfile::Ssd() : DiskProfile::Hdd();
 
-  EpochAlgoSpec spec;
-  spec.name = opt.algo;
-  spec.source = opt.source;
-  spec.tolerance = opt.tolerance;
-
-  auto engine_r = MakeEpochEngine(cfg, spec);
+  auto engine_r = MakeEngine(cfg, spec);
   if (!engine_r.ok()) {
     std::fprintf(stderr, "cannot build engine: %s\n",
                  engine_r.status().ToString().c_str());
     return 1;
   }
-  std::unique_ptr<AnyEpochEngine> engine = std::move(*engine_r);
-  Status st = engine->Load(graph);
+  std::unique_ptr<AnyEngine> engine = std::move(*engine_r);
+  st = engine->Load(graph);
   if (!st.ok()) {
     std::fprintf(stderr, "load failed: %s\n", st.ToString().c_str());
     return 1;
